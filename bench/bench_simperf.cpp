@@ -4,11 +4,11 @@
 // and are machine-independent), this one measures the host: it is the repo's
 // wall-clock perf trajectory (BENCH_simperf.json), tracking
 //
-//   1. kernel events/sec — the slab-arena/4-ary-heap kernel vs an embedded
-//      copy of the original queue (std::priority_queue of events carrying a
-//      shared_ptr<bool> liveness flag and a std::function), run on the same
-//      timer-churn workload in the same binary, so the speedup gate is
-//      machine-independent even though the absolute numbers are not;
+//   1. kernel events/sec — the slab-arena/4-ary-heap kernel vs the original
+//      queue kept in sim/reference_kernel.hpp (std::priority_queue of events
+//      carrying a shared_ptr<bool> liveness flag and a std::function), run on
+//      the same timer-churn workload in the same binary, so the speedup gate
+//      is machine-independent even though the absolute numbers are not;
 //   2. heap allocations per event for both kernels (global operator new
 //      counter), the mechanism behind the speedup;
 //   3. end-to-end stress-world sims/sec at --jobs 1 vs --jobs <hardware>,
@@ -25,7 +25,6 @@
 #include <limits>
 #include <memory>
 #include <new>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@
 #include "net/network.hpp"
 #include "sim/batch.hpp"
 #include "sim/failure_injector.hpp"
+#include "sim/reference_kernel.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
 
@@ -67,88 +67,6 @@ namespace vsgc {
 namespace {
 
 using bench::Table;
-
-// ---------------------------------------------------------------------------
-// Legacy kernel: the pre-optimization event queue, embedded verbatim in
-// spirit — two heap allocations per event (shared_ptr<bool> liveness flag +
-// type-erased std::function), binary-heap std::priority_queue of fat events.
-// The NondetSource seam is omitted: the workload never installs one, and the
-// uncontrolled fast path is what the old kernel spent its time in.
-// ---------------------------------------------------------------------------
-
-class LegacyTimerHandle {
- public:
-  LegacyTimerHandle() = default;
-  explicit LegacyTimerHandle(std::weak_ptr<bool> alive)
-      : alive_(std::move(alive)) {}
-
-  void cancel() {
-    if (auto alive = alive_.lock()) *alive = false;
-  }
-  bool pending() const {
-    auto alive = alive_.lock();
-    return alive && *alive;
-  }
-
- private:
-  std::weak_ptr<bool> alive_;
-};
-
-class LegacySimulator {
- public:
-  struct Stats {
-    std::uint64_t events_scheduled = 0;
-    std::uint64_t events_executed = 0;
-    std::uint64_t events_cancelled = 0;
-  };
-
-  sim::Time now() const { return now_; }
-  const Stats& stats() const { return stats_; }
-
-  LegacyTimerHandle schedule(sim::Time delay, std::function<void()> fn) {
-    auto alive = std::make_shared<bool>(true);
-    queue_.push(Event{now_ + delay, next_seq_++, alive, std::move(fn)});
-    ++stats_.events_scheduled;
-    return LegacyTimerHandle(alive);
-  }
-
-  std::size_t run_until(sim::Time deadline) {
-    std::size_t executed = 0;
-    while (!queue_.empty() && queue_.top().when <= deadline) {
-      Event ev = queue_.top();
-      queue_.pop();
-      now_ = ev.when > now_ ? ev.when : now_;
-      if (!*ev.alive) {
-        ++stats_.events_cancelled;
-        continue;
-      }
-      *ev.alive = false;
-      ev.fn();
-      ++stats_.events_executed;
-      ++executed;
-    }
-    if (now_ < deadline) now_ = deadline;
-    return executed;
-  }
-
- private:
-  struct Event {
-    sim::Time when;
-    std::uint64_t seq;
-    std::shared_ptr<bool> alive;
-    std::function<void()> fn;
-
-    bool operator>(const Event& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
-  };
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  sim::Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  Stats stats_;
-};
 
 // ---------------------------------------------------------------------------
 // Kernel microbench: timer-churn workload shaped like the network layer's
@@ -341,13 +259,14 @@ int main(int argc, char** argv) {
   // Warm both allocators/caches once, then measure interleaved best-of-3:
   // each kernel keeps its fastest run, which cancels scheduler noise on
   // loaded CI runners without hiding systematic cost.
-  run_kernel_workload<LegacySimulator, LegacyTimerHandle, std::any>(8, 200);
+  run_kernel_workload<sim::ReferenceSimulator, sim::ReferenceTimerHandle,
+                      std::any>(8, 200);
   run_kernel_workload<sim::Simulator, sim::TimerHandle, net::Payload>(8, 200);
   KernelRun legacy, fast;
   for (int rep = 0; rep < 3; ++rep) {
     const KernelRun l =
-        run_kernel_workload<LegacySimulator, LegacyTimerHandle, std::any>(chains,
-                                                                     hops);
+        run_kernel_workload<sim::ReferenceSimulator,
+                            sim::ReferenceTimerHandle, std::any>(chains, hops);
     const KernelRun f =
         run_kernel_workload<sim::Simulator, sim::TimerHandle, net::Payload>(chains,
                                                                          hops);

@@ -24,6 +24,18 @@ using namespace vsgc::bench;
 
 namespace {
 
+/// Header overhead per entry, from the codec's own sizes: every frame pays a
+/// bare frame header (no group tag, no SACK runs), every entry its length
+/// prefix; standalone acks ride in the frame count with zero entries, so
+/// their cost lands here too.
+double header_overhead_per_entry(std::uint64_t frames, std::uint64_t entries) {
+  if (entries == 0) return 0.0;
+  const std::size_t frame_header = encoded_size(transport::wire::FrameHeader{});
+  const std::size_t entry_header = transport::wire::encoded_entry_size(0);
+  return static_cast<double>(frames * frame_header + entries * entry_header) /
+         static_cast<double>(entries);
+}
+
 struct Result {
   double msgs_per_sec = 0;
   double avg_latency_ms = 0;
@@ -108,15 +120,7 @@ Result run_case(int n, int payload_bytes, int messages,
       w.process(0).transport().stats();
   const std::uint64_t frames = after.frames_sent - before.frames_sent;
   const std::uint64_t entries = after.entries_sent - before.entries_sent;
-  // Honest header overhead per application message: every frame pays a frame
-  // header, every entry an entry header; standalone acks ride in the frame
-  // count with zero entries, so their cost lands here too.
-  const double overhead =
-      entries == 0 ? 0.0
-                   : static_cast<double>(
-                         frames * transport::wire::kFrameHeaderBytes +
-                         entries * transport::wire::kFrameEntryBytes) /
-                         static_cast<double>(entries);
+  const double overhead = header_overhead_per_entry(frames, entries);
   return {static_cast<double>(messages) / span_s,
           latency_sum / static_cast<double>(latency_n),
           static_cast<double>(after.bytes_sent - before.bytes_sent) / messages,
@@ -210,12 +214,7 @@ FaninResult run_fanin(bool batching, obs::BenchArtifact& art,
   r.bytes_per_msg =
       static_cast<double>(bytes) / static_cast<double>(kFaninMessages);
   r.overhead_bytes_per_msg =
-      entries == 0
-          ? 0
-          : static_cast<double>(
-                r.frames_sent * transport::wire::kFrameHeaderBytes +
-                entries * transport::wire::kFrameEntryBytes) /
-                static_cast<double>(entries);
+      header_overhead_per_entry(r.frames_sent, entries);
   r.acks_standalone = xports[0]->stats().acks_sent;
   r.acks_piggybacked = xports[0]->stats().acks_piggybacked;
   r.ooo_dropped = xports[0]->stats().ooo_dropped;

@@ -33,22 +33,39 @@ namespace vsgc::baseline {
 
 namespace wire {
 
+/// Tags continue past gcs (1-5) and membership (16-21) so every wire
+/// struct in the tree has a distinct first byte.
+enum class Tag : std::uint8_t {
+  kAgree = 32,
+  kSync = 33,
+};
+
 /// Round 1: confirm participation in the change to view `target`.
 struct AgreeMsg {
-  ViewId target;
+  static constexpr Tag kTag = Tag::kAgree;
+  ViewId target{};
 
-  std::size_t wire_size() const { return 1 + 12; }
+  template <class V>
+  void fields(V& v) {
+    v(target);
+  }
+
+  friend bool operator==(const AgreeMsg&, const AgreeMsg&) = default;
 };
 
 /// Round 2: cut exchange, tagged with the agreed view identifier.
 struct SyncMsg {
-  ViewId target;
-  View view;  ///< sender's current view
-  std::map<ProcessId, std::int64_t> cut;
+  static constexpr Tag kTag = Tag::kSync;
+  ViewId target{};
+  View view{};  ///< sender's current view
+  std::map<ProcessId, std::int64_t> cut{};
 
-  std::size_t wire_size() const {
-    return 1 + 12 + view.wire_size() + 4 + cut.size() * 12;
+  template <class V>
+  void fields(V& v) {
+    v(target, view, cut);
   }
+
+  friend bool operator==(const SyncMsg&, const SyncMsg&) = default;
 };
 
 }  // namespace wire

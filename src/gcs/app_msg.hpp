@@ -10,7 +10,6 @@
 #include <string>
 
 #include "util/ids.hpp"
-#include "util/serialization.hpp"
 
 namespace vsgc::gcs {
 
@@ -21,21 +20,10 @@ struct AppMsg {
 
   friend bool operator==(const AppMsg&, const AppMsg&) = default;
 
-  void encode(Encoder& enc) const {
-    enc.put_process(sender);
-    enc.put_u64(uid);
-    enc.put_string(payload);
+  template <class V>
+  void fields(V& v) {
+    v(sender, uid, payload);
   }
-
-  static AppMsg decode(Decoder& dec) {
-    AppMsg m;
-    m.sender = dec.get_process();
-    m.uid = dec.get_u64();
-    m.payload = dec.get_string();
-    return m;
-  }
-
-  std::size_t wire_size() const { return 4 + 8 + 4 + payload.size(); }
 };
 
 }  // namespace vsgc::gcs

@@ -477,7 +477,6 @@ void Linter::lint_source(const std::string& rel_path,
   rule_include_guard(rel_path, lexed.tokens, file_findings);
   if (is_wire_header(rel_path)) {
     rule_wire_init(rel_path, lexed.tokens, file_findings);
-    rule_codec_symmetry(rel_path, lexed.tokens, file_findings);
   }
 
   apply_suppressions(rel_path, file_findings, lexed.pragmas);

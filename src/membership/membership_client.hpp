@@ -61,7 +61,7 @@ class MembershipClient {
     if (!running_) return;
     wire::Leave notice{self_};
     transport_.send_raw(net::node_of(server_), net::Payload(notice),
-                        wire::Leave::kWireSize);
+                        encoded_size(notice));
     running_ = false;
     heartbeat_timer_.cancel();
   }
@@ -138,7 +138,7 @@ class MembershipClient {
     }
     wire::Heartbeat hb{/*from_server=*/false, self_.value, incarnation_};
     transport_.send_raw(net::node_of(server_), net::Payload(hb),
-                        wire::Heartbeat::kWireSize);
+                        encoded_size(hb));
     heartbeat_timer_ = sim_.schedule(config_.heartbeat_interval,
                                      [this]() { heartbeat_tick(); });
   }

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "util/ids.hpp"
-#include "util/serialization.hpp"
 
 namespace vsgc {
 
@@ -43,33 +42,9 @@ struct View {
   friend bool operator==(const View&, const View&) = default;
   friend auto operator<=>(const View&, const View&) = default;
 
-  void encode(Encoder& enc) const {
-    enc.put_view_id(id);
-    enc.put_process_set(members);
-    enc.put_u32(static_cast<std::uint32_t>(start_id.size()));
-    for (const auto& [p, cid] : start_id) {
-      enc.put_process(p);
-      enc.put_start_change_id(cid);
-    }
-  }
-
-  static View decode(Decoder& dec) {
-    View v;
-    v.id = dec.get_view_id();
-    v.members = dec.get_process_set();
-    const std::uint32_t n = dec.get_u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      ProcessId p = dec.get_process();
-      v.start_id[p] = dec.get_start_change_id();
-    }
-    return v;
-  }
-
-  /// Serialized size in bytes (for benchmark byte accounting).
-  std::size_t wire_size() const {
-    Encoder enc;
-    encode(enc);
-    return enc.size();
+  template <class V>
+  void fields(V& v) {
+    v(id, members, start_id);
   }
 };
 

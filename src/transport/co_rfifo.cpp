@@ -7,16 +7,6 @@ namespace vsgc::transport {
 
 namespace {
 
-std::size_t frame_wire_size(const Frame& f) {
-  std::size_t bytes = wire::kFrameHeaderBytes;
-  if (f.header.group != 0) bytes += wire::kGroupTagBytes;
-  bytes += f.header.sack.num_runs() * wire::kSackRunBytes;
-  for (const FrameEntry& e : f.entries) {
-    bytes += e.payload_size + wire::kFrameEntryBytes;
-  }
-  return bytes;
-}
-
 void track_peak(std::uint64_t& peak, std::size_t size) {
   if (size > peak) peak = size;
 }
@@ -58,11 +48,13 @@ void CoRfifoTransport::send(const std::set<net::NodeId>& dests,
     ++stats_.messages_sent;
     if (q == self_) {
       // Local loopback: still asynchronous (one scheduler hop), still FIFO.
-      // Byte accounting matches a remote single-entry frame (payload + frame
-      // header + entry header) so sync traffic tables don't under-count
-      // self-addressed copies.
-      stats_.bytes_sent += payload_size + kPacketHeaderBytes +
-                           (group != 0 ? wire::kGroupTagBytes : 0);
+      // Byte accounting matches a remote single-entry frame so sync traffic
+      // tables don't under-count self-addressed copies.
+      wire::FrameHeader loopback;
+      loopback.group = group;
+      loopback.count = 1;
+      stats_.bytes_sent +=
+          encoded_size(loopback) + wire::encoded_entry_size(payload_size);
       sim_.schedule(1, [this, payload, group]() {
         if (crashed_ || (!deliver_ && !group_deliver_)) {
           // A loopback in flight across our own crash is lost like any other
@@ -170,7 +162,11 @@ void CoRfifoTransport::attach_piggyback(net::NodeId to, Frame& frame) {
 
 void CoRfifoTransport::transmit_frame(net::NodeId to, Frame frame) {
   frame.header.count = static_cast<std::uint32_t>(frame.entries.size());
-  const std::size_t bytes = frame_wire_size(frame);
+  // Exactly the bytes wire::EncodedFrame encodes for this frame.
+  std::size_t bytes = encoded_size(frame.header);
+  for (const FrameEntry& e : frame.entries) {
+    bytes += wire::encoded_entry_size(e.payload_size);
+  }
   stats_.bytes_sent += bytes;
   ++stats_.frames_sent;
   stats_.entries_sent += frame.entries.size();
@@ -552,8 +548,8 @@ void CoRfifoTransport::send_standalone_ack(net::NodeId to) {
   }
   in.ack_due = false;
   ++stats_.acks_sent;
-  // A standalone ack is a header-only frame: kFrameHeaderBytes on the wire
-  // (honest accounting — it carries no entry, so no per-entry cost).
+  // A standalone ack is a header-only frame: it carries no entry, so it
+  // pays no per-entry cost.
   transmit_frame(to, std::move(ack));
 }
 

@@ -52,7 +52,7 @@
 namespace vsgc::transport {
 
 /// One batched entry travelling inside a Frame: the refcounted payload handle
-/// plus its modeled serialized size. Sequence numbers are implicit — entry i
+/// plus its encoded size. Sequence numbers are implicit — entry i
 /// of a frame carries header.base_seq + i.
 struct FrameEntry {
   std::uint64_t seq = 0;  ///< explicit in sender-side buffers for ack trims
@@ -67,12 +67,6 @@ struct Frame {
   wire::FrameHeader header{};
   std::vector<FrameEntry> entries{};
 };
-
-/// Per-packet overhead of a single-entry frame (one frame header + one entry
-/// header). Loopback accounting and legacy single-message byte expectations
-/// are stated in terms of this constant.
-constexpr std::size_t kPacketHeaderBytes =
-    wire::kFrameHeaderBytes + wire::kFrameEntryBytes;
 
 class CoRfifoTransport {
  public:

@@ -8,8 +8,9 @@
 // stream, which is what lets steady bidirectional traffic run with almost no
 // standalone ack packets.
 //
-// The flat codec below is the byte-level contract: benches account realistic
-// sizes with it and the adversarial decode tests drive truncated and
+// The codec below is the byte-level contract: the transport charges every
+// frame encoded_size(header) + Σ(4 + payload size), exactly the bytes
+// EncodedFrame encodes, and the adversarial decode tests drive truncated and
 // oversized-count frames through it. Inside the simulator frames travel as
 // structured objects (one refcounted payload handle per entry — never a
 // per-entry std::any wrap), so the codec is exercised by tests, not per
@@ -24,28 +25,9 @@
 
 namespace vsgc::transport::wire {
 
-/// Modeled per-frame cost for byte accounting: flags, incarnation, sequence
-/// bases, piggybacked ack, entry count, addressing — amortized over however
-/// many entries the frame carries.
-constexpr std::size_t kFrameHeaderBytes = 16;
-
-/// Modeled per-entry framing cost (length prefix + sequencing share). A
-/// single-entry frame therefore costs kFrameHeaderBytes + kFrameEntryBytes =
-/// 24 bytes of overhead, exactly the pre-batching per-packet header.
-constexpr std::size_t kFrameEntryBytes = 8;
-
 /// Hard cap on entries per decoded frame: a forged count above this fails
 /// decoding instead of driving a giant allocation.
 constexpr std::size_t kMaxFrameEntries = 4096;
-
-/// Modeled per-frame cost of the group tag when a frame targets a non-zero
-/// multiplexed channel (kFlagHasGroup). Group-0 traffic pays nothing, so
-/// single-group byte accounting is unchanged from PR 7.
-constexpr std::size_t kGroupTagBytes = 4;
-
-/// Modeled cost of one selective-ack run (lo, hi) when a frame carries a
-/// SACK block (kFlagHasSack). FIFO steady state carries zero runs.
-constexpr std::size_t kSackRunBytes = 16;
 
 /// Cap on SACK runs per frame: beyond this the receiver falls back to the
 /// cumulative ack alone (the retransmit path still converges, just with more
@@ -63,8 +45,11 @@ constexpr std::uint8_t kFlagHasSack = 0x8;   ///< selective-ack runs present
 /// (DESIGN.md §13): all groups share one seq space, one ack stream, and one
 /// retransmit budget per peer pair. `sack` lists received-but-unacked runs
 /// above ack_seq so the sender can skip retransmitting across loss gaps.
+///
+/// The codec is hand-written because `group` and `sack` are present on the
+/// wire only when their flag bit is set; encode derives those bits and
+/// decode strips them again.
 struct FrameHeader {
-  // vsgc-lint: allow(codec-symmetry) flags is derived on encode (presence bits ORed in) and consulted per optional field on decode; codec_test round-trips both shapes
   std::uint8_t flags = 0;
   std::uint64_t incarnation = 0;      ///< sender connection incarnation
   std::uint64_t first_seq = 1;        ///< lowest seq still retransmittable
@@ -73,11 +58,10 @@ struct FrameHeader {
   std::uint64_t ack_seq = 0;          ///< cumulative ack for reverse stream
   std::uint32_t count = 0;            ///< number of payload entries
   std::uint32_t group = 0;            ///< multiplexed channel tag
-  // vsgc-lint: allow(codec-symmetry) sack is flag-gated: written once iff non-empty, read once iff kFlagHasSack — the linter sees the reserve() mention as a second write
   util::IntervalSet sack{};           ///< received runs above ack_seq
 
-  void encode(Encoder& enc) const {
-    enc.reserve(41 + 16 * sack.num_runs());
+  template <class Out>
+  void encode(Out& enc) const {
     std::uint8_t f = flags;
     if (group != 0) f |= kFlagHasGroup;
     if (!sack.empty()) f |= kFlagHasSack;
@@ -92,7 +76,6 @@ struct FrameHeader {
     if (!sack.empty()) sack.encode(enc);
   }
 
-  // vsgc-lint: allow(codec-symmetry) token order differs because encode emits the derived flag byte before the gated fields; byte order on the wire is identical
   static FrameHeader decode(Decoder& dec) {
     FrameHeader h;
     h.flags = dec.get_u8();
@@ -102,6 +85,9 @@ struct FrameHeader {
     h.ack_incarnation = dec.get_u64();
     h.ack_seq = dec.get_u64();
     h.count = dec.get_u32();
+    if (h.count > kMaxFrameEntries) {
+      throw DecodeError("frame entry count exceeds kMaxFrameEntries");
+    }
     if (h.flags & kFlagHasGroup) {
       h.group = dec.get_u32();
       if (h.group == 0) throw DecodeError("group flag with zero group tag");
@@ -117,37 +103,24 @@ struct FrameHeader {
   friend bool operator==(const FrameHeader&, const FrameHeader&) = default;
 };
 
-/// A fully serializable frame: header plus raw payload bytes per entry.
+/// Bytes one entry of `payload_size` bytes adds to an encoded frame: the u32
+/// length prefix EncodedFrame writes before each payload, plus the payload.
+inline std::size_t encoded_entry_size(std::size_t payload_size) {
+  return 4 + payload_size;
+}
+
+/// A fully serializable frame: header plus raw payload bytes per entry. The
+/// entry count is the header's `count` field (which must equal
+/// payloads.size() when encoding); each entry is a u32 length + its bytes.
+/// Decoding fails cleanly (DecodeError) on any truncation and on counts
+/// beyond kMaxFrameEntries, and never reserves from an untrusted count.
 struct EncodedFrame {
-  // vsgc-lint: allow(codec-symmetry) encode() writes a local copy of header with count recomputed from payloads.size(); decode() reads it back symmetrically
   FrameHeader header{};
   std::vector<std::vector<std::uint8_t>> payloads{};
 
-  void encode(Encoder& enc) const {
-    FrameHeader h = header;
-    h.count = static_cast<std::uint32_t>(payloads.size());
-    h.encode(enc);
-    for (const auto& p : payloads) enc.put_bytes(p);
-  }
-
-  /// Decodes a frame, failing cleanly (DecodeError via Decoder::need) on any
-  /// truncation and on entry counts beyond kMaxFrameEntries — a forged count
-  /// can never drive an out-of-bounds read or an unbounded reserve.
-  static EncodedFrame decode(Decoder& dec) {
-    EncodedFrame f;
-    f.header = FrameHeader::decode(dec);
-    if (f.header.count > kMaxFrameEntries) {
-      throw DecodeError("frame entry count exceeds kMaxFrameEntries");
-    }
-    // Each entry needs at least its 4-byte length prefix, so `remaining / 4`
-    // bounds any honest count: reserve never trusts the header alone.
-    const std::size_t plausible = dec.remaining() / 4;
-    f.payloads.reserve(
-        f.header.count < plausible ? f.header.count : plausible);
-    for (std::uint32_t i = 0; i < f.header.count; ++i) {
-      f.payloads.push_back(dec.get_bytes());
-    }
-    return f;
+  template <class V>
+  void fields(V& v) {
+    v(header, codec::counted_by(header.count, payloads));
   }
 
   friend bool operator==(const EncodedFrame&, const EncodedFrame&) = default;

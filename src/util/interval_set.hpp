@@ -154,7 +154,8 @@ class IntervalSet {
 
   /// Wire form: run count then (lo, hi) pairs in ascending order. SACK
   /// blocks in the frame header use this with a small `max_runs` cap.
-  void encode(Encoder& enc) const {
+  template <class Out>
+  void encode(Out& enc) const {
     enc.put_u32(static_cast<std::uint32_t>(runs_.size()));
     for (const auto& [lo, hi] : runs_) {
       enc.put_u64(lo);

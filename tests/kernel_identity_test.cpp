@@ -1,136 +1,21 @@
 // Kernel identity harness: the optimized slab-arena kernel must produce the
 // exact execution order of the original std::priority_queue kernel on every
-// workload. A reference copy of the original kernel (shared_ptr<bool>
-// liveness flags, std::function events, binary heap ordered by (when, seq))
-// runs the same randomized self-scheduling/cancelling workload as
-// sim::Simulator, with and without a scripted NondetSource, and the full
-// firing sequences and kernel stats are compared element by element.
+// workload. The reference kernel (sim/reference_kernel.hpp) runs the same
+// randomized self-scheduling/cancelling workload as sim::Simulator, with and
+// without a scripted NondetSource, and the full firing sequences and kernel
+// stats are compared element by element.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
 #include "sim/nondet.hpp"
+#include "sim/reference_kernel.hpp"
 #include "sim/simulator.hpp"
 
 namespace vsgc::sim {
 namespace {
-
-// --- Reference kernel: the pre-optimization implementation -----------------
-
-class RefTimerHandle {
- public:
-  RefTimerHandle() = default;
-  explicit RefTimerHandle(std::weak_ptr<bool> alive) : alive_(std::move(alive)) {}
-
-  void cancel() {
-    if (auto alive = alive_.lock()) *alive = false;
-  }
-  bool pending() const {
-    auto alive = alive_.lock();
-    return alive && *alive;
-  }
-
- private:
-  std::weak_ptr<bool> alive_;
-};
-
-class RefSimulator {
- public:
-  struct Stats {
-    std::uint64_t events_scheduled = 0;
-    std::uint64_t events_executed = 0;
-    std::uint64_t events_cancelled = 0;
-    std::size_t peak_queue_depth = 0;
-  };
-
-  Time now() const { return now_; }
-  const Stats& stats() const { return stats_; }
-  void set_nondet(NondetSource* source) { nondet_ = source; }
-
-  RefTimerHandle schedule(Time delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  RefTimerHandle schedule_at(Time when, std::function<void()> fn) {
-    auto alive = std::make_shared<bool>(true);
-    queue_.push(Event{when, next_seq_++, alive, std::move(fn)});
-    ++stats_.events_scheduled;
-    if (queue_.size() > stats_.peak_queue_depth) {
-      stats_.peak_queue_depth = queue_.size();
-    }
-    return RefTimerHandle(alive);
-  }
-
-  std::size_t run_to_quiescence() {
-    std::size_t executed = 0;
-    while (!queue_.empty()) executed += step();
-    return executed;
-  }
-
- private:
-  struct Event {
-    Time when;
-    std::uint64_t seq;
-    std::shared_ptr<bool> alive;
-    std::function<void()> fn;
-
-    bool operator>(const Event& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
-  };
-
-  Event pop_next() {
-    Event ev = queue_.top();
-    queue_.pop();
-    if (nondet_ == nullptr || !*ev.alive) return ev;
-    std::vector<Event> batch;
-    batch.push_back(std::move(ev));
-    while (!queue_.empty() && queue_.top().when == batch.front().when) {
-      Event peer = queue_.top();
-      queue_.pop();
-      if (!*peer.alive) {
-        ++stats_.events_cancelled;
-        continue;
-      }
-      batch.push_back(std::move(peer));
-    }
-    std::size_t pick = 0;
-    if (batch.size() > 1) {
-      pick = nondet_->choose("sim.tiebreak", batch.size());
-      if (pick >= batch.size()) pick = batch.size() - 1;
-    }
-    Event chosen = std::move(batch[pick]);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (i != pick) queue_.push(std::move(batch[i]));
-    }
-    return chosen;
-  }
-
-  std::size_t step() {
-    Event ev = pop_next();
-    now_ = ev.when > now_ ? ev.when : now_;
-    if (!*ev.alive) {
-      ++stats_.events_cancelled;
-      return 0;
-    }
-    *ev.alive = false;
-    ev.fn();
-    ++stats_.events_executed;
-    return 1;
-  }
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  Stats stats_;
-  NondetSource* nondet_ = nullptr;
-};
 
 // --- Scripted nondeterminism: a deterministic non-default chooser ----------
 
@@ -216,7 +101,7 @@ class Driver {
 
 void expect_identical(std::uint64_t seed, bool with_nondet) {
   ScriptedNondet ref_nd, new_nd;
-  Driver<RefSimulator, RefTimerHandle> ref;
+  Driver<ReferenceSimulator, ReferenceTimerHandle> ref;
   Driver<Simulator, TimerHandle> opt;
   const WorkloadTrace a =
       ref.run(seed, with_nondet ? &ref_nd : nullptr, 2000);

@@ -201,7 +201,7 @@ TEST(CoRfifoReset, StaleResetAckIgnored) {
   stale.header.flags = wire::kFlagReset;
   stale.header.ack_incarnation = 1;  // definitely not the current incarnation
   h.network.send(net::NodeId{2}, net::NodeId{1}, std::any(stale),
-                 wire::kFrameHeaderBytes);
+                 encoded_size(stale.header));
   h.sim.run_to_quiescence();
   h.send(2);
   h.sim.run_to_quiescence();

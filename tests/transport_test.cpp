@@ -14,6 +14,15 @@
 namespace vsgc::transport {
 namespace {
 
+/// Bytes of the encoded frame that carries `entries` payloads of
+/// `payload_size` bytes each — what the transport must charge for it.
+std::size_t frame_bytes(std::size_t entries, std::size_t payload_size) {
+  wire::EncodedFrame f;
+  f.header.count = static_cast<std::uint32_t>(entries);
+  f.payloads.assign(entries, std::vector<std::uint8_t>(payload_size));
+  return encoded_size(f);
+}
+
 struct Harness {
   explicit Harness(int n, net::Network::Config cfg = {}, std::uint64_t seed = 1)
       : network(sim, Rng(seed), cfg) {
@@ -212,7 +221,7 @@ TEST(CoRfifo, ByteAccountingIncludesHeaders) {
   h.set_reliable(0, {1});
   h.send(0, {1}, 1);
   h.sim.run_to_quiescence();
-  EXPECT_GE(h.transports[0]->stats().bytes_sent, 8u + kPacketHeaderBytes);
+  EXPECT_GE(h.transports[0]->stats().bytes_sent, frame_bytes(1, 8));
   EXPECT_GE(h.transports[1]->stats().acks_sent, 1u);
 }
 
@@ -225,7 +234,7 @@ TEST(CoRfifo, LoopbackCountsBytesLikeARemoteSend) {
   const auto& stats = h.transports[0]->stats();
   EXPECT_EQ(stats.messages_sent, 1u);
   EXPECT_EQ(stats.messages_delivered, 1u);
-  EXPECT_EQ(stats.bytes_sent, 8u + kPacketHeaderBytes);
+  EXPECT_EQ(stats.bytes_sent, frame_bytes(1, 8));
   EXPECT_EQ(stats.loopbacks_dropped, 0u);
 }
 
@@ -243,8 +252,7 @@ TEST(CoRfifo, BatchingCoalescesSameInstantSends) {
   }
   EXPECT_EQ(tx.frames_sent, 1u) << "ten messages must share one frame";
   EXPECT_EQ(tx.entries_sent, 10u);
-  EXPECT_EQ(tx.bytes_sent,
-            wire::kFrameHeaderBytes + 10 * (8 + wire::kFrameEntryBytes))
+  EXPECT_EQ(tx.bytes_sent, frame_bytes(10, 8))
       << "per-frame cost charged once, per-entry cost per message";
 }
 
@@ -319,7 +327,7 @@ TEST(CoRfifo, LoopbackAcrossOwnCrashIsACountedDrop) {
   EXPECT_EQ(stats.messages_delivered, 0u);
   EXPECT_EQ(stats.loopbacks_dropped, 1u)
       << "a loopback lost to our own crash must be counted, not vanish";
-  EXPECT_EQ(stats.bytes_sent, 8u + kPacketHeaderBytes)
+  EXPECT_EQ(stats.bytes_sent, frame_bytes(1, 8))
       << "bytes were put on the (virtual) wire before the crash";
 }
 

@@ -90,14 +90,14 @@ TEST(Serialization, PrimitivesRoundTrip) {
 TEST(Serialization, IdsAndSetsRoundTrip) {
   Encoder enc;
   enc.put_process(ProcessId{9});
-  enc.put_start_change_id(StartChangeId{77});
-  enc.put_view_id(ViewId{5, 2});
-  enc.put_process_set({ProcessId{1}, ProcessId{3}, ProcessId{8}});
+  encode(StartChangeId{77}, enc);
+  encode(ViewId{5, 2}, enc);
+  encode(std::set<ProcessId>{ProcessId{1}, ProcessId{3}, ProcessId{8}}, enc);
   Decoder dec(enc.bytes());
   EXPECT_EQ(dec.get_process(), ProcessId{9});
-  EXPECT_EQ(dec.get_start_change_id(), StartChangeId{77});
-  EXPECT_EQ(dec.get_view_id(), (ViewId{5, 2}));
-  EXPECT_EQ(dec.get_process_set(),
+  EXPECT_EQ(decode<StartChangeId>(dec), StartChangeId{77});
+  EXPECT_EQ(decode<ViewId>(dec), (ViewId{5, 2}));
+  EXPECT_EQ(decode<std::set<ProcessId>>(dec),
             (std::set<ProcessId>{ProcessId{1}, ProcessId{3}, ProcessId{8}}));
   EXPECT_TRUE(dec.done());
 }
@@ -113,10 +113,10 @@ TEST(Serialization, UnderrunThrows) {
 TEST(Serialization, EmptyStringAndSet) {
   Encoder enc;
   enc.put_string("");
-  enc.put_process_set({});
+  encode(std::set<ProcessId>{}, enc);
   Decoder dec(enc.bytes());
   EXPECT_EQ(dec.get_string(), "");
-  EXPECT_TRUE(dec.get_process_set().empty());
+  EXPECT_TRUE(decode<std::set<ProcessId>>(dec).empty());
 }
 
 TEST(Assert, RequireThrowsWithMessage) {

@@ -34,13 +34,12 @@ TEST(View, EncodeDecodeRoundTrip) {
   v.start_id = {{ProcessId{1}, StartChangeId{10}},
                 {ProcessId{2}, StartChangeId{20}},
                 {ProcessId{9}, StartChangeId{90}}};
-  Encoder enc;
-  v.encode(enc);
-  Decoder dec(enc.bytes());
-  const View round = View::decode(dec);
+  const std::vector<std::uint8_t> bytes = encode(v);
+  Decoder dec(bytes);
+  const View round = decode<View>(dec);
   EXPECT_EQ(v, round);
   EXPECT_TRUE(dec.done());
-  EXPECT_EQ(v.wire_size(), enc.size());
+  EXPECT_EQ(encoded_size(v), bytes.size());
 }
 
 TEST(View, ToStringMentionsMembersAndCids) {
@@ -83,12 +82,12 @@ TEST(FifoBuffer, DuplicatePutIsIdempotent) {
 TEST(WireMessages, SizesTrackPayloads) {
   gcs::AppMsg small{ProcessId{1}, 1, "x"};
   gcs::AppMsg big{ProcessId{1}, 2, std::string(1000, 'y')};
-  EXPECT_GT(gcs::wire::AppMsgWire{big}.wire_size(),
-            gcs::wire::AppMsgWire{small}.wire_size() + 900);
+  EXPECT_GT(encoded_size(gcs::wire::AppMsgWire{big}),
+            encoded_size(gcs::wire::AppMsgWire{small}) + 900);
   gcs::wire::SyncMsg sync{StartChangeId{1}, View::initial(ProcessId{1}), {}};
   sync.cut[ProcessId{1}] = 5;
   sync.cut[ProcessId{2}] = 7;
-  EXPECT_GT(sync.wire_size(), 20u) << "cut entries must be accounted";
+  EXPECT_GT(encoded_size(sync), 20u) << "cut entries must be accounted";
 }
 
 TEST(Oracle, EnforcesStartChangeBeforeView) {
