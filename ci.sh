@@ -311,6 +311,14 @@ VSGC_BENCH_OUT="$PERF_OUT" "$BUILD_DIR_REL/bench/bench_scale" \
   --check-sublinear
 "$BUILD_DIR_REL/tools/validate_bench_json" "$PERF_OUT/BENCH_scale.json"
 
+echo "== perfbench self-tests =="
+# The full-stack benchmark (BENCHMARK.json) builds src/ itself and checks its
+# own outputs; running its self-tests here makes a change under src/ that
+# breaks the benchmark's build or correctness checks fail CI. It builds a
+# Release copy into $CARGO_TARGET_DIR (here inside the Release tree).
+CARGO_TARGET_DIR="$BUILD_DIR_REL/perfbench" \
+  python3 -m unittest discover -s perfbench/tests
+
 echo "== thread sanitizer (batch engine) =="
 # TSan and ASan cannot share a build; a dedicated tree covers the only
 # threaded component (sim::BatchRunner) plus a parallel stress sweep that

@@ -42,13 +42,8 @@ void TwoRoundEndpoint::prune_pending() {
   // gone; its agree/cut would never arrive and liveness would be lost).
   while (pending_.size() > 1) {
     const View& front = pending_.front();
-    bool excluded_later = false;
-    for (ProcessId q : participants(front)) {
-      if (!pending_.back().contains(q)) {
-        excluded_later = true;
-        break;
-      }
-    }
+    const bool excluded_later = !all_participants(
+        front, [&](ProcessId q) { return pending_.back().contains(q); });
     if (!excluded_later) break;  // run to termination
     agrees_.erase(front.id);
     syncs_.erase(front.id);
@@ -67,22 +62,11 @@ const View& TwoRoundEndpoint::next_view_candidate() const {
   return pending_.empty() ? current_view_ : pending_.front();
 }
 
-std::set<ProcessId> TwoRoundEndpoint::participants(const View& target) const {
-  std::set<ProcessId> out;
-  for (ProcessId q : target.members) {
-    if (current_view_.contains(q)) out.insert(q);
-  }
-  out.insert(self_);
-  return out;
-}
-
 bool TwoRoundEndpoint::agree_complete(const View& target) const {
   auto it = agrees_.find(target.id);
   if (it == agrees_.end()) return false;
-  for (ProcessId q : participants(target)) {
-    if (!it->second.contains(q)) return false;
-  }
-  return true;
+  return all_participants(
+      target, [&](ProcessId q) { return it->second.contains(q); });
 }
 
 const gcs::SyncMsgData* TwoRoundEndpoint::sync_of(ViewId target,
@@ -93,23 +77,26 @@ const gcs::SyncMsgData* TwoRoundEndpoint::sync_of(ViewId target,
   return itq == it->second.end() ? nullptr : &itq->second;
 }
 
-std::set<ProcessId> TwoRoundEndpoint::transitional_for(
-    const View& target) const {
-  std::set<ProcessId> t;
+bool TwoRoundEndpoint::gather_transitional(const View& target) {
+  t_.clear();
+  if (!all_participants(target, [&](ProcessId q) {
+        return sync_of(target.id, q) != nullptr;
+      })) {
+    return false;
+  }
   for (ProcessId q : target.members) {
     if (!current_view_.contains(q)) continue;
     const gcs::SyncMsgData* sm = sync_of(target.id, q);
-    if (sm != nullptr && sm->view == current_view_) t.insert(q);
+    if (sm->view == current_view_) t_.emplace_back(q, sm);
   }
-  return t;
+  return true;
 }
 
-std::set<ProcessId> TwoRoundEndpoint::desired_reliable_set() const {
-  std::set<ProcessId> set = current_view_.members;
+void TwoRoundEndpoint::desired_reliable_set(std::vector<ProcessId>& out) const {
+  gcs::WvRfifoEndpoint::desired_reliable_set(out);
   for (const View& v : pending_) {
-    set.insert(v.members.begin(), v.members.end());
+    out.insert(out.end(), v.members.begin(), v.members.end());
   }
-  return set;
 }
 
 // --------------------------------------------------------------------------
@@ -198,8 +185,12 @@ bool TwoRoundEndpoint::deliver_allowed(ProcessId q,
   // After committing, deliver up to the max cut over the (partially known)
   // transitional set; fall back to our own cut until peers' cuts arrive.
   std::int64_t limit = own->cut_of(q);
-  for (ProcessId r : transitional_for(target)) {
-    limit = std::max(limit, sync_of(target.id, r)->cut_of(q));
+  for (ProcessId r : target.members) {
+    if (!current_view_.contains(r)) continue;
+    const gcs::SyncMsgData* sm = sync_of(target.id, r);
+    if (sm != nullptr && sm->view == current_view_) {
+      limit = std::max(limit, sm->cut_of(q));
+    }
   }
   return next_index <= limit;
 }
@@ -207,17 +198,13 @@ bool TwoRoundEndpoint::deliver_allowed(ProcessId q,
 bool TwoRoundEndpoint::view_gate(const View& v,
                                  std::set<ProcessId>& transitional) {
   if (pending_.empty() || !(pending_.front() == v)) return false;
-  for (ProcessId q : participants(v)) {
-    if (sync_of(v.id, q) == nullptr) return false;
-  }
-  transitional = transitional_for(v);
+  if (!gather_transitional(v)) return false;
   for (ProcessId q : current_view_.members) {
     std::int64_t agreed = 0;
-    for (ProcessId r : transitional) {
-      agreed = std::max(agreed, sync_of(v.id, r)->cut_of(q));
-    }
+    for (const auto& [r, sm] : t_) agreed = std::max(agreed, sm->cut_of(q));
     if (last_dlvrd(q) != agreed) return false;
   }
+  for (const auto& [r, sm] : t_) transitional.insert(r);
   return true;
 }
 
@@ -227,37 +214,43 @@ bool TwoRoundEndpoint::try_forward() {
   // from a non-transitional sender forwards it.
   if (pending_.empty()) return false;
   const View& target = pending_.front();
-  for (ProcessId q : participants(target)) {
-    if (sync_of(target.id, q) == nullptr) return false;
-  }
-  const std::set<ProcessId> t = transitional_for(target);
-  if (!t.contains(self_)) return false;
+  if (!gather_transitional(target)) return false;
+  const auto in_t = [&](ProcessId r) {
+    return std::ranges::any_of(
+        t_, [r](const auto& entry) { return entry.first == r; });
+  };
+  if (!in_t(self_)) return false;
 
   bool progress = false;
   for (ProcessId r : current_view_.members) {
-    if (t.contains(r)) continue;
+    if (in_t(r)) continue;
     std::int64_t max_committed = 0;
-    for (ProcessId u : t) {
-      max_committed =
-          std::max(max_committed, sync_of(target.id, u)->cut_of(r));
+    for (const auto& [u, sm] : t_) {
+      max_committed = std::max(max_committed, sm->cut_of(r));
     }
     for (std::int64_t i = 1; i <= max_committed; ++i) {
-      std::set<ProcessId> missing;
+      // The min-id holder (t_ is ascending) forwards to every member of T
+      // missing message i that has no copy from us yet.
       std::optional<ProcessId> forwarder;
-      for (ProcessId u : t) {
-        if (sync_of(target.id, u)->cut_of(r) < i) missing.insert(u);
-        else if (!forwarder) forwarder = u;
+      bool fresh_left = false;
+      for (const auto& [u, sm] : t_) {
+        if (sm->cut_of(r) < i) {
+          fresh_left = fresh_left ||
+                       !forwarded_set_.contains({u, r, current_view_.id, i});
+        } else if (!forwarder) {
+          forwarder = u;
+        }
       }
-      if (missing.empty() || forwarder != self_) continue;
+      if (!fresh_left || forwarder != self_) continue;
       const gcs::AppMsg* m = buffer(r, current_view_.id).get(i);
       if (m == nullptr) continue;
       std::set<ProcessId> fresh;
-      for (ProcessId dest : missing) {
-        if (forwarded_set_.emplace(dest, r, current_view_.id, i).second) {
-          fresh.insert(dest);
+      for (const auto& [u, sm] : t_) {
+        if (sm->cut_of(r) < i &&
+            forwarded_set_.emplace(u, r, current_view_.id, i).second) {
+          fresh.insert(u);
         }
       }
-      if (fresh.empty()) continue;
       gcs::wire::FwdMsg fm{r, current_view_, i, *m};
       transport_.send(nodes_of(fresh, /*exclude_self=*/true), net::Payload(fm),
                       encoded_size(fm));

@@ -25,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "gcs/vs_rfifo_ts_endpoint.hpp"  // for SyncMsgData
 #include "gcs/wv_rfifo_endpoint.hpp"
@@ -94,7 +95,7 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
 
  protected:
   const View& next_view_candidate() const override;
-  std::set<ProcessId> desired_reliable_set() const override;
+  void desired_reliable_set(std::vector<ProcessId>& out) const override;
   bool deliver_allowed(ProcessId q, std::int64_t next_index) const override;
   bool view_gate(const View& v, std::set<ProcessId>& transitional) override;
   void pre_view_effects(const View& v) override;
@@ -112,11 +113,22 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   bool try_send_sync();
   bool try_forward();
   void prune_pending();
-  /// Participants whose agreement/cuts the round for `target` needs.
-  std::set<ProcessId> participants(const View& target) const;
+  /// Does `pred` hold for every participant whose agreement/cut the round
+  /// for `target` needs (target.set ∩ current_view.set, plus self)?
+  template <class Pred>
+  bool all_participants(const View& target, Pred pred) const {
+    if (!pred(self_)) return false;
+    for (ProcessId q : target.members) {
+      if (current_view_.contains(q) && !pred(q)) return false;
+    }
+    return true;
+  }
   bool agree_complete(const View& target) const;
   const gcs::SyncMsgData* sync_of(ViewId target, ProcessId q) const;
-  std::set<ProcessId> transitional_for(const View& target) const;
+  /// Once every participant's cut for `target` is known, gather the
+  /// transitional set T (participants whose cut carries current_view) into
+  /// t_ and return true; otherwise return false.
+  bool gather_transitional(const View& target);
 
   BaselineStats baseline_stats_;
   std::deque<View> pending_;
@@ -128,6 +140,8 @@ class TwoRoundEndpoint : public gcs::WvRfifoEndpoint {
   std::set<ViewId> sync_sent_;
   std::set<std::tuple<ProcessId, ProcessId, ViewId, std::int64_t>>
       forwarded_set_;
+  /// Reused buffer: T's members (ascending) and their cuts.
+  std::vector<std::pair<ProcessId, const gcs::SyncMsgData*>> t_;
 };
 
 }  // namespace vsgc::baseline

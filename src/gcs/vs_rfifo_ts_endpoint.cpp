@@ -30,17 +30,6 @@ const SyncMsgData* VsRfifoTsEndpoint::latest_sync_msg(ProcessId q) const {
   return &itq->second.rbegin()->second;  // cids are monotone per sender
 }
 
-std::set<ProcessId> VsRfifoTsEndpoint::compute_transitional(
-    const View& v) const {
-  std::set<ProcessId> t;
-  for (ProcessId q : v.members) {
-    if (!current_view_.contains(q)) continue;
-    const SyncMsgData* sm = sync_msg(q, v.start_id_of(q));
-    if (sm != nullptr && sm->view == current_view_) t.insert(q);
-  }
-  return t;
-}
-
 // --------------------------------------------------------------------------
 // Transition restrictions (Figure 10)
 // --------------------------------------------------------------------------
@@ -94,14 +83,15 @@ void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
   }
 }
 
-std::set<ProcessId> VsRfifoTsEndpoint::desired_reliable_set() const {
+void VsRfifoTsEndpoint::desired_reliable_set(
+    std::vector<ProcessId>& out) const {
   // start_change = ⊥  ⇒ set = current_view.set
   // start_change ≠ ⊥  ⇒ set = current_view.set ∪ start_change.set
-  std::set<ProcessId> set = current_view_.members;
+  WvRfifoEndpoint::desired_reliable_set(out);
   if (start_change_) {
-    set.insert(start_change_->second.begin(), start_change_->second.end());
+    out.insert(out.end(), start_change_->second.begin(),
+               start_change_->second.end());
   }
-  return set;
 }
 
 std::set<ProcessId> VsRfifoTsEndpoint::relay_dests(
@@ -292,21 +282,26 @@ bool VsRfifoTsEndpoint::view_gate(const View& v,
   if (!start_change_ || v.start_id_of(self_) != start_change_->first) {
     return false;
   }
-  // pre: sync messages present from all of v.set ∩ current_view.set
+  // pre: sync messages present from all of v.set ∩ current_view.set.
+  // T = {q in v.set ∩ current_view.set |
+  //      sync_msg[q][v.startId(q)].view == current_view}, gathered into a
+  // reused buffer.
+  transitional_syncs_.clear();
   for (ProcessId q : v.members) {
     if (!current_view_.contains(q)) continue;
-    if (sync_msg(q, v.start_id_of(q)) == nullptr) return false;
+    const SyncMsgData* sm = sync_msg(q, v.start_id_of(q));
+    if (sm == nullptr) return false;
+    if (sm->view == current_view_) transitional_syncs_.emplace_back(q, sm);
   }
-  transitional = compute_transitional(v);
   // pre: every sender's deliveries match the agreed cut (max over T).
   for (ProcessId q : current_view_.members) {
     std::int64_t agreed = 0;
-    for (ProcessId r : transitional) {
-      agreed = std::max(agreed,
-                        sync_msg(r, v.start_id_of(r))->cut_of(q));
+    for (const auto& [r, sm] : transitional_syncs_) {
+      agreed = std::max(agreed, sm->cut_of(q));
     }
     if (last_dlvrd(q) != agreed) return false;
   }
+  for (const auto& [r, sm] : transitional_syncs_) transitional.insert(r);
   return true;
 }
 
@@ -388,6 +383,7 @@ std::vector<ForwardAction> SimpleForwardingStrategy::select(
       const std::int64_t have = latest.cut_of(r);
       const std::int64_t committed = own->cut_of(r);
       for (std::int64_t i = have + 1; i <= committed; ++i) {
+        if (ep.forwarded(q, r, v.id, i)) continue;
         actions.push_back(ForwardAction{{q}, r, v, i});
       }
     }
@@ -405,39 +401,45 @@ std::vector<ForwardAction> MinCopiesForwardingStrategy::select(
   if (own == nullptr) return actions;  // own sync for this view not sent yet
 
   // I = v.set ∩ own sync view's set; all of I must have the right sync msgs.
-  std::set<ProcessId> interest;
+  // T = the members of I whose sync view is own sync view.
+  t_.clear();
   for (ProcessId q : mv.members) {
-    if (own->view.contains(q)) interest.insert(q);
+    if (!own->view.contains(q)) continue;
+    const SyncMsgData* sm = ep.sync_msg(q, mv.start_id_of(q));
+    if (sm == nullptr) return actions;
+    if (sm->view == own->view) t_.emplace_back(q, sm);
   }
-  for (ProcessId q : interest) {
-    if (ep.sync_msg(q, mv.start_id_of(q)) == nullptr) return actions;
-  }
-  std::set<ProcessId> t;
-  for (ProcessId q : interest) {
-    if (ep.sync_msg(q, mv.start_id_of(q))->view == own->view) t.insert(q);
-  }
+  const auto in_t = [&](ProcessId r) {
+    return std::ranges::any_of(
+        t_, [r](const auto& entry) { return entry.first == r; });
+  };
 
   // Only messages from senders OUTSIDE T need forwarding (members of T will
   // retransmit their own messages through live CO_RFIFO channels).
   for (ProcessId r : own->view.members) {
-    if (t.contains(r)) continue;
+    if (in_t(r)) continue;
     std::int64_t max_committed = 0;
-    for (ProcessId u : t) {
-      max_committed = std::max(
-          max_committed, ep.sync_msg(u, mv.start_id_of(u))->cut_of(r));
+    for (const auto& [u, sm] : t_) {
+      max_committed = std::max(max_committed, sm->cut_of(r));
     }
     for (std::int64_t i = 1; i <= max_committed; ++i) {
-      std::set<ProcessId> missing;
+      // The min-id holder (t_ is ascending) forwards to every member of T
+      // missing message i; skip it once all of those already have a copy.
       std::optional<ProcessId> forwarder;
-      for (ProcessId u : t) {
-        if (ep.sync_msg(u, mv.start_id_of(u))->cut_of(r) < i) {
-          missing.insert(u);
+      bool fresh = false;
+      for (const auto& [u, sm] : t_) {
+        if (sm->cut_of(r) < i) {
+          fresh = fresh || !ep.forwarded(u, r, own->view.id, i);
         } else if (!forwarder) {
-          forwarder = u;  // min id: t iterates in ascending order
+          forwarder = u;
         }
       }
-      if (missing.empty() || forwarder != ep.self()) continue;
-      actions.push_back(ForwardAction{missing, r, own->view, i});
+      if (!fresh || forwarder != ep.self()) continue;
+      ForwardAction action{{}, r, own->view, i};
+      for (const auto& [u, sm] : t_) {
+        if (sm->cut_of(r) < i) action.dests.insert(u);
+      }
+      actions.push_back(std::move(action));
     }
   }
   return actions;

@@ -80,8 +80,10 @@ class ForwardingStrategy {
  public:
   virtual ~ForwardingStrategy() = default;
   virtual const char* name() const = 0;
-  /// Inspect the end-point state and propose forwards. The end-point itself
-  /// deduplicates against its forwarded_set (one copy per destination).
+  /// Inspect the end-point state and propose forwards. Strategies skip a
+  /// forward every destination of which is already in the end-point's
+  /// forwarded_set, so an idle pump builds no action; the end-point still
+  /// deduplicates each destination (one copy per destination).
   virtual std::vector<ForwardAction> select(const VsRfifoTsEndpoint& ep) = 0;
 };
 
@@ -121,21 +123,22 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
     return buffer(q, v);
   }
 
+  /// Was msgs[orig][view][index] already forwarded to `dest`?
+  bool forwarded(ProcessId dest, ProcessId orig, ViewId view,
+                 std::int64_t index) const {
+    return forwarded_set_.contains({dest, orig, view, index});
+  }
+
   const VsStats& vs_stats() const { return vs_stats_; }
 
   /// Configure sync-message dissemination (default: direct all-to-all).
   void set_sync_routing(SyncRouting routing) { routing_ = std::move(routing); }
   const SyncRouting& sync_routing() const { return routing_; }
 
-  /// The transitional set this end-point would deliver with MBRSHP view v
-  /// right now: {q in v.set ∩ current_view.set |
-  ///             sync_msg[q][v.startId(q)].view == current_view}.
-  std::set<ProcessId> compute_transitional(const View& v) const;
-
  protected:
   // Inheritance hooks from WvRfifoEndpoint (transition restrictions of
   // Figure 10).
-  std::set<ProcessId> desired_reliable_set() const override;
+  void desired_reliable_set(std::vector<ProcessId>& out) const override;
   bool deliver_allowed(ProcessId q, std::int64_t next_index) const override;
   bool view_gate(const View& v, std::set<ProcessId>& transitional) override;
   void pre_view_effects(const View& v) override;
@@ -167,6 +170,8 @@ class VsRfifoTsEndpoint : public WvRfifoEndpoint {
   /// forwarded_set: (dest, orig, view, index) tuples already forwarded.
   std::set<std::tuple<ProcessId, ProcessId, ViewId, std::int64_t>>
       forwarded_set_;
+  /// view_gate's reused buffer: T's members and their sync messages.
+  std::vector<std::pair<ProcessId, const SyncMsgData*>> transitional_syncs_;
 };
 
 /// Section 5.2.2, first strategy: forward every committed message a peer's
@@ -185,6 +190,10 @@ class MinCopiesForwardingStrategy final : public ForwardingStrategy {
  public:
   const char* name() const override { return "min-copies"; }
   std::vector<ForwardAction> select(const VsRfifoTsEndpoint& ep) override;
+
+ private:
+  /// Reused buffer: T's members (ascending) and their sync messages.
+  std::vector<std::pair<ProcessId, const SyncMsgData*>> t_;
 };
 
 }  // namespace vsgc::gcs

@@ -14,9 +14,19 @@ WvRfifoEndpoint::WvRfifoEndpoint(sim::Simulator& sim,
       transport_(transport),
       self_(self),
       trace_(trace),
-      current_view_(View::initial(self)),
       mbrshp_view_(View::initial(self)) {
-  reliable_set_ = {self};
+  install_view(View::initial(self));
+  assign_reliable({self});
+}
+
+void WvRfifoEndpoint::install_view(View v) {
+  current_view_ = std::move(v);
+  view_dests_ = nodes_of(current_view_.members, /*exclude_self=*/true);
+}
+
+void WvRfifoEndpoint::assign_reliable(std::set<ProcessId> set) {
+  reliable_set_ = std::move(set);
+  reliable_nodes_ = nodes_of(reliable_set_, /*exclude_self=*/false);
 }
 
 void WvRfifoEndpoint::emit(spec::EventBody body) {
@@ -159,24 +169,28 @@ void WvRfifoEndpoint::pump() {
 bool WvRfifoEndpoint::try_set_reliable() {
   // co_rfifo.reliable_p(set). Parent precondition: current_view.set ⊆ set;
   // the concrete set is chosen by the child hook (VS: ∪ start_change.set).
-  std::set<ProcessId> desired = desired_reliable_set();
-  desired.insert(self_);
+  desired_.clear();
+  desired_.push_back(self_);
+  desired_reliable_set(desired_);
+  std::ranges::sort(desired_);
+  desired_.erase(std::unique(desired_.begin(), desired_.end()),
+                 desired_.end());
   // Compare against the transport's set as well as our mirror: a corrupted
   // transport reliable_set (sim::FaultOp::kCorruptReliable) silently stops
   // retransmission toward the dropped peer, and only this re-assertion path
   // heals it (DESIGN.md §12). Honest runs never diverge — the extra check
   // costs one set comparison per pump and never fires.
-  if (desired == reliable_set_ &&
-      transport_.reliable_matches(nodes_of(desired, /*exclude_self=*/false))) {
+  if (std::ranges::equal(desired_, reliable_set_) &&
+      transport_.reliable_matches(reliable_nodes_)) {
     return false;
   }
-  VSGC_REQUIRE(std::includes(desired.begin(), desired.end(),
+  VSGC_REQUIRE(std::includes(desired_.begin(), desired_.end(),
                              current_view_.members.begin(),
                              current_view_.members.end()),
                "reliable set must cover the current view at "
                    << to_string(self_));
-  reliable_set_ = desired;
-  transport_.set_reliable(nodes_of(desired, /*exclude_self=*/false));
+  assign_reliable({desired_.begin(), desired_.end()});
+  transport_.set_reliable(reliable_nodes_);
   return true;
 }
 
@@ -189,8 +203,7 @@ bool WvRfifoEndpoint::try_send_view_msg() {
     return false;
   }
   wire::ViewMsg vm{current_view_};
-  transport_.send(nodes_of(current_view_.members, /*exclude_self=*/true),
-                  net::Payload(vm), encoded_size(vm));
+  transport_.send(view_dests_, net::Payload(vm), encoded_size(vm));
   view_msg_[self_] = current_view_;
   ++stats_.view_msgs_sent;
   return true;
@@ -203,8 +216,7 @@ bool WvRfifoEndpoint::try_send_app_msgs() {
   const FifoBuffer& own = buffer(self_, current_view_.id);
   while (const AppMsg* m = own.get(last_sent_ + 1)) {
     wire::AppMsgWire am{*m};
-    transport_.send(nodes_of(current_view_.members, /*exclude_self=*/true),
-                    net::Payload(am), encoded_size(am));
+    transport_.send(view_dests_, net::Payload(am), encoded_size(am));
     ++last_sent_;
     if (lifecycle_on()) emit(spec::MsgWireSend{self_, m->sender, m->uid});
     progress = true;
@@ -237,30 +249,34 @@ bool WvRfifoEndpoint::try_deliver_app_msgs() {
 }
 
 bool WvRfifoEndpoint::try_deliver_view() {
-  // view_p(v, T)
-  const View v = next_view_candidate();
-  if (!(current_view_.id < v.id)) return false;
-  VSGC_REQUIRE(v.contains(self_),
+  // view_p(v, T). The candidate is checked by reference; a closed gate
+  // copies nothing.
+  const View& candidate = next_view_candidate();
+  if (!(current_view_.id < candidate.id)) return false;
+  VSGC_REQUIRE(candidate.contains(self_),
                "MBRSHP violated Self Inclusion at " << to_string(self_));
   std::set<ProcessId> transitional;
-  if (!view_gate(v, transitional)) return false;
+  if (!view_gate(candidate, transitional)) return false;
 
+  // Copy before the effects: the child's may consume the candidate's source.
+  View v = candidate;
   // Child effects first, then parent effects (one atomic step).
   pre_view_effects(v);
 
-  current_view_ = v;
+  install_view(std::move(v));
   last_sent_ = 0;
   last_dlvrd_.clear();
   // Garbage collection (Section 5.1 note): buffers of other views are dead —
   // delivery only ever reads the current view's buffers from here on.
   for (auto& [q, per_view] : msgs_) {
-    std::erase_if(per_view,
-                  [&](const auto& entry) { return entry.first != v.id; });
+    std::erase_if(per_view, [&](const auto& entry) {
+      return entry.first != current_view_.id;
+    });
   }
 
   ++stats_.views_delivered;
-  emit(spec::GcsView{self_, v, transitional});
-  if (client_ != nullptr) client_->view(v, transitional);
+  emit(spec::GcsView{self_, current_view_, transitional});
+  if (client_ != nullptr) client_->view(current_view_, transitional);
   return true;
 }
 
@@ -278,14 +294,14 @@ void WvRfifoEndpoint::recover() {
   VSGC_REQUIRE(crashed_, "recover() without crash at " << to_string(self_));
   // Reset to initial values — no stable storage. uid_counter_ survives as a
   // history variable (proof artifact only; see DESIGN.md).
-  current_view_ = View::initial(self_);
+  install_view(View::initial(self_));
   mbrshp_view_ = View::initial(self_);
   view_msg_.clear();
   msgs_.clear();
   last_sent_ = 0;
   last_rcvd_.clear();
   last_dlvrd_.clear();
-  reliable_set_ = {self_};
+  assign_reliable({self_});
   reset_child_state();
   crashed_ = false;
   emit(spec::Recover{self_});

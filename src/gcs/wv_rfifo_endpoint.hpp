@@ -22,6 +22,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "gcs/client.hpp"
 #include "gcs/fifo_buffer.hpp"
@@ -92,7 +93,7 @@ class WvRfifoEndpoint : public membership::Listener {
   /// state; contrast the recoverable kCorrupt* family).
   void corrupt_view_epoch(std::uint64_t epoch) {
     if (crashed_) return;
-    current_view_.id.epoch = epoch;
+    current_view_.id.epoch = epoch;  // members unchanged: view_dests_ holds
   }
 
   // Introspection (tests, benches, forwarding strategies).
@@ -108,9 +109,13 @@ class WvRfifoEndpoint : public membership::Listener {
  protected:
   // ---- Inheritance hooks (the paper's transition restrictions) ----
 
-  /// Precondition the child adds to co_rfifo.reliable: which set to maintain.
-  virtual std::set<ProcessId> desired_reliable_set() const {
-    return current_view_.members;
+  /// Precondition the child adds to co_rfifo.reliable: which set to
+  /// maintain. Appends its members to `out` in any order, duplicates
+  /// allowed; the caller adds self, sorts and dedups. `out` is a reused
+  /// buffer, so the check allocates nothing once its capacity has grown.
+  virtual void desired_reliable_set(std::vector<ProcessId>& out) const {
+    out.insert(out.end(), current_view_.members.begin(),
+               current_view_.members.end());
   }
 
   /// Precondition the child adds to deliver_p(q, m) for the message at
@@ -123,6 +128,8 @@ class WvRfifoEndpoint : public membership::Listener {
 
   /// Precondition + transitional-set computation the child adds to
   /// view_p(v, T). Parent allows delivery with an empty transitional set.
+  /// Children fill `transitional` only once the gate passes, so a closed
+  /// gate allocates nothing.
   virtual bool view_gate(const View& v, std::set<ProcessId>& transitional) {
     (void)v;
     transitional.clear();
@@ -147,7 +154,8 @@ class WvRfifoEndpoint : public membership::Listener {
   /// The view the end-point is currently trying to install. The paper's
   /// algorithms always target the latest membership view (and thereby never
   /// deliver obsolete views); the two-round baseline overrides this to work
-  /// through its queue of pending views in order.
+  /// through its queue of pending views in order. view_p checks it by
+  /// reference and copies it only when it installs it.
   virtual const View& next_view_candidate() const { return mbrshp_view_; }
 
   /// Child input effects for MBRSHP.start_change (the parent ignores it).
@@ -187,23 +195,39 @@ class WvRfifoEndpoint : public membership::Listener {
   Stats stats_;
 
   // ---- Figure 9 state (owned by the parent; children only read) ----
-  View current_view_;
+  View current_view_;  ///< replaced only by install_view()
   View mbrshp_view_;
   std::map<ProcessId, View> view_msg_;  ///< latest view_msg from q
   std::map<ProcessId, std::map<ViewId, FifoBuffer>> msgs_;
   std::int64_t last_sent_ = 0;
   std::map<ProcessId, std::int64_t> last_rcvd_;
   std::map<ProcessId, std::int64_t> last_dlvrd_;
-  std::set<ProcessId> reliable_set_;
+  std::set<ProcessId> reliable_set_;  ///< assigned only with reliable_nodes_
   std::uint64_t uid_counter_ = 0;  ///< history variable: survives recovery
   bool crashed_ = false;
 
  private:
+  /// current_view_ := v, keeping view_dests_ in step.
+  void install_view(View v);
+  /// reliable_set_ := set, keeping reliable_nodes_ in step.
+  void assign_reliable(std::set<ProcessId> set);
+
   bool try_set_reliable();
   bool try_send_view_msg();
   bool try_send_app_msgs();
   bool try_deliver_app_msgs();
   bool try_deliver_view();
+
+  // Driver-loop caches: the preconditions above read these instead of
+  // rebuilding node sets on every pump (DESIGN.md §5).
+  /// Always nodes_of(reliable_set_, /*exclude_self=*/false): what the
+  /// transport must hold; compared with its truth on every pump.
+  std::set<net::NodeId> reliable_nodes_;
+  /// Always nodes_of(current_view_.members, /*exclude_self=*/true): the
+  /// destinations of view_msg and app_msg sends.
+  std::set<net::NodeId> view_dests_;
+  /// Reused buffer for try_set_reliable's desired set.
+  std::vector<ProcessId> desired_;
 
   bool pumping_ = false;
   bool pump_again_ = false;

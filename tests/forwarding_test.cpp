@@ -4,7 +4,12 @@
 // move to the new view with the agreed cut.
 #include <gtest/gtest.h>
 
+#include <any>
+#include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "helpers/oracle_world.hpp"
@@ -121,6 +126,89 @@ TEST(Forwarding, DuplicateForwardsSuppressed) {
   std::uint64_t copies = 0;
   run_forwarding_scenario(gcs::ForwardingKind::kMinCopies, &copies);
   EXPECT_EQ(copies, 1u);
+}
+
+/// A view change whose sender lies outside T: p1 multicasts 5 messages; p4
+/// never hears them and p3 hears only the first 2. p1 crashes, so p2, p3 and
+/// p4 move to {p2, p3, p4} and the messages must be forwarded. Returns the
+/// forwards_sent total; every forward is recorded at its receiver as
+/// (forwarder, dest, orig, view, index) and must arrive exactly once.
+std::uint64_t run_partial_holders_scenario(gcs::ForwardingKind kind) {
+  OracleWorld w(4, /*seed=*/1, {}, kind);
+  using Forward =
+      std::tuple<ProcessId, ProcessId, ProcessId, ViewId, std::int64_t>;
+  std::map<Forward, int> received;
+  for (int i = 0; i < 4; ++i) {
+    gcs::GcsEndpoint* ep = &w.ep(i);
+    const ProcessId dest = w.pid(i);
+    w.transport(i).set_deliver_handler(
+        [ep, dest, &received](net::NodeId from, const std::any& payload) {
+          if (const auto* fm = std::any_cast<gcs::wire::FwdMsg>(&payload)) {
+            ++received[{net::process_of(from), dest, fm->orig, fm->view.id,
+                        fm->index}];
+          }
+          ep->on_co_rfifo_deliver(net::process_of(from), payload);
+        });
+  }
+  std::vector<std::vector<std::string>> rx(4);
+  for (int i = 0; i < 4; ++i) {
+    w.client(i).on_deliver([&rx, i](ProcessId, const gcs::AppMsg& m) {
+      rx[static_cast<std::size_t>(i)].push_back(m.payload);
+    });
+  }
+  w.change_view(w.all());
+
+  const net::NodeId p1 = net::node_of(w.pid(0));
+  w.network->set_link_up(p1, net::node_of(w.pid(3)), false);
+  for (int i = 0; i < 2; ++i) w.client(0).send("m" + std::to_string(i));
+  w.run();
+  w.network->set_link_up(p1, net::node_of(w.pid(2)), false);
+  for (int i = 2; i < 5; ++i) w.client(0).send("m" + std::to_string(i));
+  w.run();
+  EXPECT_EQ(rx[1].size(), 5u);
+  EXPECT_EQ(rx[2].size(), 2u);
+  EXPECT_TRUE(rx[3].empty());
+
+  w.ep(0).crash();
+  w.transport(0).crash();
+  const std::set<ProcessId> rest = w.pids({1, 2, 3});
+  for (int i = 1; i < 4; ++i) w.oracle.start_change_to(w.pid(i), rest);
+  w.run();
+  const View v = w.oracle.make_view(rest);
+  for (int i = 1; i < 4; ++i) w.oracle.deliver_view_to(w.pid(i), v);
+  w.run(2 * sim::kSecond);
+
+  const std::vector<std::string> all = {"m0", "m1", "m2", "m3", "m4"};
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(w.ep(i).current_view(), v) << "endpoint " << i;
+    EXPECT_EQ(rx[static_cast<std::size_t>(i)], all) << "endpoint " << i;
+  }
+  EXPECT_FALSE(received.empty());
+  std::uint64_t copies = 0;
+  for (const auto& [fwd, n] : received) {
+    EXPECT_EQ(n, 1) << "forwarded " << n << " times to "
+                    << to_string(std::get<1>(fwd)) << " by "
+                    << to_string(std::get<0>(fwd)) << ", index "
+                    << std::get<4>(fwd);
+    copies += static_cast<std::uint64_t>(n);
+  }
+  std::uint64_t sent = 0;
+  for (int i = 1; i < 4; ++i) sent += w.ep(i).vs_stats().forwards_sent;
+  EXPECT_EQ(sent, copies) << "every forward sent is received once";
+  w.checkers.finalize();
+  return sent;
+}
+
+TEST(Forwarding, SenderOutsideTForwardedOncePerDestinationMinCopies) {
+  // p2, the min-id holder, alone forwards: m0, m1 to p4 and m2..m4 to p3
+  // and p4. Each (dest, orig, view, index) goes out once.
+  EXPECT_EQ(run_partial_holders_scenario(gcs::ForwardingKind::kMinCopies), 8u);
+}
+
+TEST(Forwarding, SenderOutsideTForwardedOncePerForwarderSimple) {
+  // p2 forwards m2..m4 to p3 and m0..m4 to p4; p3 also forwards m0, m1 to
+  // p4. Each forwarder sends each (dest, orig, view, index) once.
+  EXPECT_EQ(run_partial_holders_scenario(gcs::ForwardingKind::kSimple), 10u);
 }
 
 }  // namespace

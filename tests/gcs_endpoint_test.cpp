@@ -3,6 +3,7 @@
 // blocking, and message forwarding — all with the full checker suite attached.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,32 @@ TEST(ObsoleteViews, SupersededViewNeverDelivered) {
   EXPECT_EQ(w.ep(0).stats().views_delivered, views_before + 1)
       << "exactly one view (v2) delivered; v1 skipped";
   EXPECT_EQ(w.ep(0).current_view().members, w.all());
+  w.checkers.finalize();
+}
+
+// DESIGN.md §12.1, corrupt_reliable_set: a peer erased from the transport's
+// reliable set is re-asserted by the very next pump, which compares the
+// end-point's cached reliable node set with transport truth. No simulated
+// time passes, so nothing but that check can heal it.
+TEST(Corruption, ReliableSetReassertedOnNextPump) {
+  OracleWorld w(3);
+  std::vector<std::string> rx1;
+  w.client(1).on_deliver(
+      [&rx1](ProcessId, const gcs::AppMsg& m) { rx1.push_back(m.payload); });
+  w.change_view(w.all());
+  const std::set<net::NodeId> healthy = w.transport(0).reliable_set();
+  const net::NodeId p1 = net::node_of(w.pid(1));
+  ASSERT_TRUE(healthy.contains(p1));
+
+  ASSERT_TRUE(w.transport(0).corrupt_drop_reliable(p1));
+  ASSERT_FALSE(w.transport(0).reliable_set().contains(p1));
+  w.client(0).send("after-corruption");  // one input: one pump at p0
+  EXPECT_TRUE(w.transport(0).reliable_set().contains(p1));
+  EXPECT_EQ(w.transport(0).reliable_set(), healthy);
+
+  w.settle();
+  ASSERT_EQ(rx1.size(), 1u);
+  EXPECT_EQ(rx1[0], "after-corruption");
   w.checkers.finalize();
 }
 
