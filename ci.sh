@@ -123,6 +123,36 @@ VSGC_BENCH_OUT="$ARTIFACT_DIR2" "$BUILD_DIR/bench/bench_view_change" > /dev/null
 cmp "$ARTIFACT_DIR/TRACE_view_change.jsonl" "$ARTIFACT_DIR2/TRACE_view_change.jsonl"
 echo "TRACE_view_change.jsonl byte-identical across runs"
 
+echo "== behaviour digests (against committed SHA-256) =="
+# An execution is a pure function of (code, seed), so a change that claims
+# to keep behaviour must leave these outputs byte-for-byte alone. Neither
+# carries a wall-clock figure: the JSONL trace stamps events with sim time,
+# vsgc_stress prints one verdict line per seed and a summary (its throughput
+# line goes to stderr, and the artifact-path line is dropped here).
+#
+# When behaviour changes on purpose, regenerate the digests from a build of
+# the new code and commit them with the change:
+#   cd "$(mktemp -d)" && R=<repo root> && B=<build dir>
+#   VSGC_BENCH_OUT=. "$B/bench/bench_view_change" > /dev/null
+#   VSGC_BENCH_OUT=. "$B/tools/vsgc_stress" --seeds 1:40 --out stress-out \
+#     2>/dev/null | grep -v '^\[artifact\]' > vsgc_stress_seeds_1_40.txt
+#   sha256sum TRACE_view_change.jsonl vsgc_stress_seeds_1_40.txt \
+#     > "$R/tests/golden/behaviour.sha256"
+# (VSGC_BENCH_OUT must name an existing directory: when the artifact cannot
+# be written, the stdout layout differs.)
+DIGEST_DIR="$BUILD_DIR/digests"
+rm -rf "$DIGEST_DIR"
+mkdir -p "$DIGEST_DIR"
+cp "$ARTIFACT_DIR/TRACE_view_change.jsonl" "$DIGEST_DIR/"
+VSGC_BENCH_OUT="$DIGEST_DIR" "$BUILD_DIR/tools/vsgc_stress" \
+  --seeds 1:40 --out "$DIGEST_DIR/stress-out" 2>/dev/null \
+  | grep -v '^\[artifact\]' > "$DIGEST_DIR/vsgc_stress_seeds_1_40.txt"
+if ! (cd "$DIGEST_DIR" && sha256sum -c "$OLDPWD/tests/golden/behaviour.sha256"); then
+  echo "behaviour differs from tests/golden/behaviour.sha256; if the change" \
+    "is intended, regenerate the digests as described in ci.sh" >&2
+  exit 1
+fi
+
 echo "== causal trace analysis (vsgc_trace) =="
 # Fault-free seeded stress through the span analyzer: every expected
 # delivery must be accounted for (zero orphans), the report and the

@@ -150,8 +150,9 @@ bool TwoRoundEndpoint::try_send_sync() {
 
   gcs::SyncMsgData data;
   data.view = current_view_;
-  for (ProcessId q : current_view_.members) {
-    data.cut[q] = buffer(q, current_view_.id).longest_prefix();
+  for (const MemberRow& row : member_rows()) {
+    data.cut.emplace_hint(data.cut.end(), row.id,
+                          row.buffer->longest_prefix());
   }
   wire::SyncMsg sm{target.id, data.view, data.cut};
   transport_.send(nodes_of(target.members, /*exclude_self=*/true),
@@ -199,10 +200,12 @@ bool TwoRoundEndpoint::view_gate(const View& v,
                                  std::set<ProcessId>& transitional) {
   if (pending_.empty() || !(pending_.front() == v)) return false;
   if (!gather_transitional(v)) return false;
-  for (ProcessId q : current_view_.members) {
+  for (const MemberRow& row : member_rows()) {
     std::int64_t agreed = 0;
-    for (const auto& [r, sm] : t_) agreed = std::max(agreed, sm->cut_of(q));
-    if (last_dlvrd(q) != agreed) return false;
+    for (const auto& [r, sm] : t_) {
+      agreed = std::max(agreed, sm->cut_of(row.id));
+    }
+    if (row.last_dlvrd != agreed) return false;
   }
   for (const auto& [r, sm] : t_) transitional.insert(r);
   return true;

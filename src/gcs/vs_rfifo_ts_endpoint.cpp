@@ -123,12 +123,16 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
     return false;
   }
 
+  // The view and cut are built once, here, and copied once more, into the
+  // wire payload; `data` itself moves into sync_msgs_.
   SyncMsgData data;
   data.view = current_view_;
-  for (ProcessId q : current_view_.members) {
-    data.cut[q] = buffer(q, current_view_.id).longest_prefix();
+  for (const MemberRow& row : member_rows()) {
+    data.cut.emplace_hint(data.cut.end(), row.id,
+                          row.buffer->longest_prefix());
   }
-  const wire::SyncMsg full{cid, data.view, data.cut};
+  wire::SyncMsg full{cid, data.view, data.cut};
+  const std::size_t full_size = encoded_size(full);
   const std::set<ProcessId>& change_set = start_change_->second;
 
   const ProcessId my_leader = routing_.leader(self_);
@@ -136,49 +140,46 @@ bool VsRfifoTsEndpoint::try_send_sync_msg() {
                         change_set.contains(my_leader);
   if (two_tier && my_leader != self_) {
     // Up-send to our designated leader only; it relays for us.
-    transport_.send({net::node_of(my_leader)}, net::Payload(full),
-                    encoded_size(full));
+    transport_.send({net::node_of(my_leader)}, net::Payload(std::move(full)),
+                    full_size);
     ++vs_stats_.sync_msgs_sent;
-    vs_stats_.sync_bytes_sent += encoded_size(full);
+    vs_stats_.sync_bytes_sent += full_size;
   } else if (two_tier) {
     // We are a leader: our own sync message starts as an aggregate.
-    wire::AggregateSyncMsg agg{0, {{self_, full}}};
     const std::set<ProcessId> dests = relay_dests(change_set);
     if (!dests.empty()) {
-      transport_.send(nodes_of(dests, /*exclude_self=*/true), net::Payload(agg),
-                      encoded_size(agg));
+      wire::AggregateSyncMsg agg{0, {}};
+      agg.entries.emplace_back(self_, std::move(full));
+      const std::size_t agg_size = encoded_size(agg);
+      transport_.send(nodes_of(dests, /*exclude_self=*/true),
+                      net::Payload(std::move(agg)), agg_size);
       vs_stats_.sync_msgs_sent += dests.size();
-      vs_stats_.sync_bytes_sent += encoded_size(agg);
+      vs_stats_.sync_bytes_sent += agg_size;
     }
   } else {
     // Direct all-to-all (Section 5.2), with the optional Section 5.2.4
     // compaction: strangers (outside our view) never read our cut.
-    std::set<ProcessId> members;
-    std::set<ProcessId> strangers;
+    const bool compact = routing_.compact_sync_to_strangers;
+    std::set<net::NodeId> dests;
+    std::set<net::NodeId> strangers;
     for (ProcessId q : change_set) {
       if (q == self_) continue;
-      (current_view_.contains(q) ? members : strangers).insert(q);
+      (compact && !current_view_.contains(q) ? strangers : dests)
+          .insert(net::node_of(q));
     }
-    if (routing_.compact_sync_to_strangers && !strangers.empty()) {
-      const wire::SyncMsg compact{cid, data.view, {}};
-      transport_.send(nodes_of(members, /*exclude_self=*/true),
-                      net::Payload(full), encoded_size(full));
-      transport_.send(nodes_of(strangers, /*exclude_self=*/true),
-                      net::Payload(compact), encoded_size(compact));
-      vs_stats_.sync_bytes_sent +=
-          encoded_size(full) * members.size() +
-          encoded_size(compact) * strangers.size();
-    } else {
-      std::set<ProcessId> all = members;
-      all.insert(strangers.begin(), strangers.end());
-      transport_.send(nodes_of(all, /*exclude_self=*/true), net::Payload(full),
-                      encoded_size(full));
-      vs_stats_.sync_bytes_sent += encoded_size(full) * all.size();
+    transport_.send(dests, net::Payload(std::move(full)), full_size);
+    vs_stats_.sync_bytes_sent += full_size * dests.size();
+    if (!strangers.empty()) {
+      wire::SyncMsg stripped{cid, data.view, {}};
+      const std::size_t stripped_size = encoded_size(stripped);
+      transport_.send(strangers, net::Payload(std::move(stripped)),
+                      stripped_size);
+      vs_stats_.sync_bytes_sent += stripped_size * strangers.size();
     }
     vs_stats_.sync_msgs_sent += change_set.size() - 1;
   }
 
-  sync_msgs_[self_][cid] = data;
+  sync_msgs_[self_][cid] = std::move(data);
   if (lifecycle_on()) emit(spec::SyncSent{self_, cid});
   return true;
 }
@@ -294,12 +295,12 @@ bool VsRfifoTsEndpoint::view_gate(const View& v,
     if (sm->view == current_view_) transitional_syncs_.emplace_back(q, sm);
   }
   // pre: every sender's deliveries match the agreed cut (max over T).
-  for (ProcessId q : current_view_.members) {
+  for (const MemberRow& row : member_rows()) {
     std::int64_t agreed = 0;
     for (const auto& [r, sm] : transitional_syncs_) {
-      agreed = std::max(agreed, sm->cut_of(q));
+      agreed = std::max(agreed, sm->cut_of(row.id));
     }
-    if (last_dlvrd(q) != agreed) return false;
+    if (row.last_dlvrd != agreed) return false;
   }
   for (const auto& [r, sm] : transitional_syncs_) transitional.insert(r);
   return true;

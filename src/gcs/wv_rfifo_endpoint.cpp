@@ -22,6 +22,35 @@ WvRfifoEndpoint::WvRfifoEndpoint(sim::Simulator& sim,
 void WvRfifoEndpoint::install_view(View v) {
   current_view_ = std::move(v);
   view_dests_ = nodes_of(current_view_.members, /*exclude_self=*/true);
+  own_view_msg_current_ = view_msg_of(self_) == current_view_;
+  // Garbage collection (Section 5.1 note): buffers of other views are dead —
+  // delivery only ever reads the current view's buffers from here on.
+  for (auto& [q, per_view] : msgs_) {
+    std::erase_if(per_view, [&](const auto& entry) {
+      return entry.first != current_view_.id;
+    });
+  }
+  rows_.clear();
+  for (ProcessId q : current_view_.members) {
+    if (q == self_) self_row_ = rows_.size();
+    rows_.push_back(MemberRow{q, nullptr});
+  }
+  bind_rows();
+}
+
+void WvRfifoEndpoint::bind_rows() {
+  for (MemberRow& row : rows_) {
+    row.buffer = &msgs_[row.id][current_view_.id];
+  }
+}
+
+void WvRfifoEndpoint::corrupt_view_epoch(std::uint64_t epoch) {
+  if (crashed_) return;
+  // Members unchanged: view_dests_ and the rows' members and last_dlvrd
+  // hold; the rows now read the corrupted view's (empty) buffers.
+  current_view_.id.epoch = epoch;
+  own_view_msg_current_ = view_msg_of(self_) == current_view_;
+  bind_rows();
 }
 
 void WvRfifoEndpoint::assign_reliable(std::set<ProcessId> set) {
@@ -31,6 +60,13 @@ void WvRfifoEndpoint::assign_reliable(std::set<ProcessId> set) {
 
 void WvRfifoEndpoint::emit(spec::EventBody body) {
   if (trace_ != nullptr) trace_->emit(sim_.now(), std::move(body));
+}
+
+const WvRfifoEndpoint::MemberRow* WvRfifoEndpoint::member_row(
+    ProcessId q) const {
+  // rows_ is in members order, so sorted by id.
+  auto it = std::ranges::lower_bound(rows_, q, {}, &MemberRow::id);
+  return it == rows_.end() || it->id != q ? nullptr : &*it;
 }
 
 const FifoBuffer& WvRfifoEndpoint::buffer(ProcessId q, ViewId v) const {
@@ -71,7 +107,7 @@ std::set<net::NodeId> WvRfifoEndpoint::nodes_of(
 AppMsg WvRfifoEndpoint::send(std::string payload) {
   AppMsg m{self_, ++uid_counter_, std::move(payload)};
   if (crashed_) return m;
-  buffer_mut(self_, current_view_.id).append(m);
+  rows_[self_row_].buffer->append(m);
   ++stats_.sent;
   emit(spec::GcsSend{self_, m});
   pump();
@@ -101,15 +137,19 @@ bool WvRfifoEndpoint::on_co_rfifo_deliver(ProcessId from,
 
   if (const auto* vm = std::any_cast<wire::ViewMsg>(&payload)) {
     view_msg_[from] = vm->view;
+    if (from == self_) own_view_msg_current_ = vm->view == current_view_;
     last_rcvd_[from] = 0;
     pump();
     return true;
   }
 
   if (const auto* am = std::any_cast<wire::AppMsgWire>(&payload)) {
-    const std::int64_t index = last_rcvd_[from] + 1;
-    buffer_mut(from, view_msg_of(from).id).put(index, am->msg);
-    last_rcvd_[from] = index;
+    std::int64_t& last_rcvd = last_rcvd_[from];
+    const ViewId view = view_msg_of(from).id;
+    const MemberRow* row =
+        view == current_view_.id ? member_row(from) : nullptr;
+    (row != nullptr ? *row->buffer : buffer_mut(from, view))
+        .put(++last_rcvd, am->msg);
     if (lifecycle_on()) {
       emit(spec::MsgRecv{self_, from, am->msg.sender, am->msg.uid, false});
     }
@@ -196,7 +236,7 @@ bool WvRfifoEndpoint::try_set_reliable() {
 
 bool WvRfifoEndpoint::try_send_view_msg() {
   // co_rfifo.send_p(set, tag=view_msg, v)
-  if (view_msg_of(self_) == current_view_) return false;
+  if (own_view_msg_current_) return false;
   if (!std::includes(reliable_set_.begin(), reliable_set_.end(),
                      current_view_.members.begin(),
                      current_view_.members.end())) {
@@ -205,15 +245,16 @@ bool WvRfifoEndpoint::try_send_view_msg() {
   wire::ViewMsg vm{current_view_};
   transport_.send(view_dests_, net::Payload(vm), encoded_size(vm));
   view_msg_[self_] = current_view_;
+  own_view_msg_current_ = true;
   ++stats_.view_msgs_sent;
   return true;
 }
 
 bool WvRfifoEndpoint::try_send_app_msgs() {
   // co_rfifo.send_p(set, tag=app_msg, m)
-  if (view_msg_of(self_) != current_view_) return false;
+  if (!own_view_msg_current_) return false;
   bool progress = false;
-  const FifoBuffer& own = buffer(self_, current_view_.id);
+  const FifoBuffer& own = *rows_[self_row_].buffer;
   while (const AppMsg* m = own.get(last_sent_ + 1)) {
     wire::AppMsgWire am{*m};
     transport_.send(view_dests_, net::Payload(am), encoded_size(am));
@@ -225,21 +266,36 @@ bool WvRfifoEndpoint::try_send_app_msgs() {
 }
 
 bool WvRfifoEndpoint::try_deliver_app_msgs() {
-  // deliver_p(q, m)
+  // deliver_p(q, m), round-robin over the member table: one message per
+  // member per round.
   bool progress = false;
   bool any = true;
   while (any && !crashed_) {
     any = false;
-    for (ProcessId q : current_view_.members) {
-      const std::int64_t next = last_dlvrd_[q] + 1;
-      const AppMsg* m = buffer(q, current_view_.id).get(next);
+    for (std::size_t k = 0; k < rows_.size(); ++k) {
+      MemberRow& row = rows_[k];
+      const std::int64_t next = row.last_dlvrd + 1;
+      const AppMsg* m = row.buffer->get(next);
       if (m == nullptr) continue;
-      if (q == self_ && !(last_dlvrd_[q] < last_sent_)) continue;
-      if (!deliver_allowed(q, next)) continue;
-      last_dlvrd_[q] = next;
+      const bool own = k == self_row_;
+      if (own && !(row.last_dlvrd < last_sent_)) continue;
+      if (!deliver_allowed(row.id, next)) continue;
+      row.last_dlvrd = next;
       ++stats_.delivered;
-      emit(spec::GcsDeliver{self_, q, *m});
-      if (client_ != nullptr) client_->deliver(q, *m);
+      emit(spec::GcsDeliver{self_, row.id, *m});
+      if (client_ != nullptr && own) {
+        // The client may send() from the callback, which appends to this
+        // very buffer and may move its storage. Deliver from a local the
+        // message is moved into and back out of (no copy); nothing reads
+        // the slot meanwhile, as a nested pump() only defers.
+        AppMsg held = std::move(*row.buffer->get(next));
+        client_->deliver(row.id, held);
+        if (AppMsg* slot = rows_[self_row_].buffer->get(next)) {
+          *slot = std::move(held);
+        }
+      } else if (client_ != nullptr) {
+        client_->deliver(row.id, *m);
+      }
       any = true;
       progress = true;
       if (crashed_) return progress;
@@ -265,14 +321,6 @@ bool WvRfifoEndpoint::try_deliver_view() {
 
   install_view(std::move(v));
   last_sent_ = 0;
-  last_dlvrd_.clear();
-  // Garbage collection (Section 5.1 note): buffers of other views are dead —
-  // delivery only ever reads the current view's buffers from here on.
-  for (auto& [q, per_view] : msgs_) {
-    std::erase_if(per_view, [&](const auto& entry) {
-      return entry.first != current_view_.id;
-    });
-  }
 
   ++stats_.views_delivered;
   emit(spec::GcsView{self_, current_view_, transitional});
@@ -294,13 +342,12 @@ void WvRfifoEndpoint::recover() {
   VSGC_REQUIRE(crashed_, "recover() without crash at " << to_string(self_));
   // Reset to initial values — no stable storage. uid_counter_ survives as a
   // history variable (proof artifact only; see DESIGN.md).
-  install_view(View::initial(self_));
-  mbrshp_view_ = View::initial(self_);
   view_msg_.clear();
   msgs_.clear();
+  install_view(View::initial(self_));
+  mbrshp_view_ = View::initial(self_);
   last_sent_ = 0;
   last_rcvd_.clear();
-  last_dlvrd_.clear();
   assign_reliable({self_});
   reset_child_state();
   crashed_ = false;

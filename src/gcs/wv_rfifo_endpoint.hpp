@@ -91,19 +91,18 @@ class WvRfifoEndpoint : public membership::Listener {
   /// *unrecoverable* wedge the eventual-safety suite must flag after its
   /// tolerance window (no recovery path exists for corrupted installed-view
   /// state; contrast the recoverable kCorrupt* family).
-  void corrupt_view_epoch(std::uint64_t epoch) {
-    if (crashed_) return;
-    current_view_.id.epoch = epoch;  // members unchanged: view_dests_ holds
-  }
+  void corrupt_view_epoch(std::uint64_t epoch);
 
   // Introspection (tests, benches, forwarding strategies).
   const View& current_view() const { return current_view_; }
   const View& mbrshp_view() const { return mbrshp_view_; }
   ProcessId self() const { return self_; }
   const Stats& stats() const { return stats_; }
+  /// Index of the last message from q delivered in the current view (0 for
+  /// a non-member).
   std::int64_t last_dlvrd(ProcessId q) const {
-    auto it = last_dlvrd_.find(q);
-    return it == last_dlvrd_.end() ? 0 : it->second;
+    const MemberRow* row = member_row(q);
+    return row == nullptr ? 0 : row->last_dlvrd;
   }
 
  protected:
@@ -173,6 +172,20 @@ class WvRfifoEndpoint : public membership::Listener {
   /// Fire all enabled locally-controlled actions until quiescent.
   void pump();
 
+  /// One member of current_view_ (DESIGN.md §5): its current-view buffer
+  /// msgs[id][current_view.id] and last_dlvrd[id].
+  struct MemberRow {
+    ProcessId id;
+    FifoBuffer* buffer;  ///< a node of msgs_, created with the row
+    std::int64_t last_dlvrd = 0;
+  };
+
+  /// The member table: one row per member of current_view_, in members
+  /// order. Rebuilt only when current_view_ is replaced.
+  const std::vector<MemberRow>& member_rows() const { return rows_; }
+  /// q's row, or nullptr if q is not a member of current_view_.
+  const MemberRow* member_row(ProcessId q) const;
+
   const FifoBuffer& buffer(ProcessId q, ViewId v) const;
   FifoBuffer& buffer_mut(ProcessId q, ViewId v);
   const View& view_msg_of(ProcessId q) const;
@@ -201,14 +214,16 @@ class WvRfifoEndpoint : public membership::Listener {
   std::map<ProcessId, std::map<ViewId, FifoBuffer>> msgs_;
   std::int64_t last_sent_ = 0;
   std::map<ProcessId, std::int64_t> last_rcvd_;
-  std::map<ProcessId, std::int64_t> last_dlvrd_;
   std::set<ProcessId> reliable_set_;  ///< assigned only with reliable_nodes_
   std::uint64_t uid_counter_ = 0;  ///< history variable: survives recovery
   bool crashed_ = false;
 
  private:
-  /// current_view_ := v, keeping view_dests_ in step.
+  /// current_view_ := v, keeping view_dests_, own_view_msg_current_ and
+  /// the member table in step; drops the buffers of every other view.
   void install_view(View v);
+  /// Point each row at msgs_[q][current_view_.id], creating the buffer.
+  void bind_rows();
   /// reliable_set_ := set, keeping reliable_nodes_ in step.
   void assign_reliable(std::set<ProcessId> set);
 
@@ -228,6 +243,13 @@ class WvRfifoEndpoint : public membership::Listener {
   std::set<net::NodeId> view_dests_;
   /// Reused buffer for try_set_reliable's desired set.
   std::vector<ProcessId> desired_;
+  /// The member table (see member_rows()); replaces the last_dlvrd map.
+  std::vector<MemberRow> rows_;
+  /// Index of self's row in rows_ (self is always a member).
+  std::size_t self_row_ = 0;
+  /// Always view_msg_of(self_) == current_view_: whether our own view_msg
+  /// for the current view went out, without comparing Views per pump.
+  bool own_view_msg_current_ = true;
 
   bool pumping_ = false;
   bool pump_again_ = false;

@@ -3,6 +3,7 @@
 // blocking, and message forwarding — all with the full checker suite attached.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -268,6 +269,168 @@ TEST(Corruption, ReliableSetReassertedOnNextPump) {
   w.settle();
   ASSERT_EQ(rx1.size(), 1u);
   EXPECT_EQ(rx1[0], "after-corruption");
+  w.checkers.finalize();
+}
+
+// ---- The current-view member table (DESIGN.md §5) ----
+
+/// Payloads long enough to live on the heap, so a read through a dangling
+/// reference shows up as a wrong payload (or an ASan report).
+std::string long_payload(int i) {
+  return "message-" + std::to_string(i) + std::string(40, '.');
+}
+
+// A deliver callback that sends appends to the very buffer the delivery
+// loop is reading, and may move its storage. The callback reads the message
+// after its send() returned, and each send continues the same round-robin.
+TEST(MemberTable, DeliverCallbackThatSendsGrowsOwnBuffer) {
+  constexpr int kChain = 100;
+  OracleWorld w(2);
+  std::vector<std::vector<std::string>> rx(2);
+  w.client(0).on_deliver([&](ProcessId from, const gcs::AppMsg& m) {
+    if (from == w.pid(0) && rx[0].size() + 1 < kChain) {
+      w.client(0).send(long_payload(static_cast<int>(rx[0].size()) + 1));
+    }
+    rx[0].push_back(m.payload);
+  });
+  w.client(1).on_deliver([&](ProcessId, const gcs::AppMsg& m) {
+    rx[1].push_back(m.payload);
+  });
+  w.change_view(w.all());
+  w.client(0).send(long_payload(0));
+  w.settle();
+  for (const auto& got : rx) {
+    ASSERT_EQ(got.size(), std::size_t{kChain});
+    for (int i = 0; i < kChain; ++i) {
+      EXPECT_EQ(got[static_cast<std::size_t>(i)], long_payload(i));
+    }
+  }
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(0)), kChain);
+  w.checkers.finalize();
+}
+
+// deliver_p is round-robin over the members, one message per member per
+// round. A delivery batch defers p0's pump while frames from p1 and
+// p2 arrive, so one pump finds both senders' messages deliverable.
+TEST(MemberTable, DeliveryIsRoundRobinOverMembers) {
+  OracleWorld w(3);
+  std::vector<std::string> rx0;
+  w.client(0).on_deliver([&](ProcessId from, const gcs::AppMsg& m) {
+    rx0.push_back(to_string(from) + ":" + m.payload);
+  });
+  w.change_view(w.all());
+  w.ep(0).begin_delivery_batch();
+  for (const char* p : {"a1", "a2", "a3"}) w.client(1).send(p);
+  for (const char* p : {"b1", "b2"}) w.client(2).send(p);
+  w.settle();
+  EXPECT_TRUE(rx0.empty()) << "the batch defers p0's pump";
+  EXPECT_EQ(w.ep(0).peek_buffer(w.pid(1), w.ep(0).current_view().id)
+                .longest_prefix(),
+            3);
+  w.ep(0).end_delivery_batch();
+  EXPECT_EQ(rx0, (std::vector<std::string>{"p2:a1", "p3:b1", "p2:a2",
+                                           "p3:b2", "p2:a3"}));
+  w.checkers.finalize();
+}
+
+// The table is built when the view is installed, before any member sent.
+// A member whose first app_msg arrives later is read through its row.
+TEST(MemberTable, MemberWhoseFirstMessageArrivesLaterIsDelivered) {
+  OracleWorld w(3);
+  std::vector<std::string> rx0;
+  w.client(0).on_deliver(
+      [&rx0](ProcessId, const gcs::AppMsg& m) { rx0.push_back(m.payload); });
+  w.change_view(w.all());
+  for (int i = 0; i < 3; ++i) w.client(1).send("b" + std::to_string(i));
+  w.settle();
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(2)), 0);
+  w.client(2).send("c0");
+  w.client(2).send("c1");
+  w.settle();
+  EXPECT_EQ(rx0, (std::vector<std::string>{"b0", "b1", "b2", "c0", "c1"}));
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(1)), 3);
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(2)), 2);
+  w.checkers.finalize();
+}
+
+// After a view change the table holds the new view's members, with fresh
+// buffers and last_dlvrd; the old view's buffers are gone.
+TEST(MemberTable, ViewChangeRebuildsTableAndDropsOldBuffers) {
+  OracleWorld w(3);
+  std::map<ProcessId, std::vector<std::string>> rx0;  // per sender
+  w.client(0).on_deliver([&rx0](ProcessId from, const gcs::AppMsg& m) {
+    rx0[from].push_back(m.payload);
+  });
+  const View old_view = w.change_view(w.all());
+  w.client(1).send("old-b");
+  w.client(2).send("old-c");
+  w.settle();
+  ASSERT_FALSE(w.ep(0).peek_buffer(w.pid(1), old_view.id).empty());
+
+  const View new_view = w.change_view(w.pids({0, 1}));
+  ASSERT_EQ(w.ep(0).current_view(), new_view);
+  EXPECT_TRUE(w.ep(0).peek_buffer(w.pid(1), old_view.id).empty());
+  EXPECT_TRUE(w.ep(0).peek_buffer(w.pid(2), old_view.id).empty());
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(1)), 0) << "reset in the new view";
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(2)), 0) << "no longer a member";
+
+  w.client(1).send("new-b0");
+  w.client(0).send("new-a0");
+  w.client(1).send("new-b1");
+  w.settle();
+  EXPECT_EQ(rx0[w.pid(0)], (std::vector<std::string>{"new-a0"}));
+  EXPECT_EQ(rx0[w.pid(1)],
+            (std::vector<std::string>{"old-b", "new-b0", "new-b1"}));
+  EXPECT_EQ(rx0[w.pid(2)], (std::vector<std::string>{"old-c"}));
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(0)), 1);
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(1)), 2);
+  EXPECT_EQ(w.ep(0).peek_buffer(w.pid(1), new_view.id).longest_prefix(), 2);
+  w.checkers.finalize();
+}
+
+// recover() rebuilds the table for the initial singleton view; once the
+// process rejoins, deliveries flow through the rebuilt table.
+TEST(MemberTable, DeliveriesAfterCrashAndRecovery) {
+  OracleWorld w(2);
+  std::vector<std::string> rx0;
+  w.client(0).on_deliver(
+      [&rx0](ProcessId, const gcs::AppMsg& m) { rx0.push_back(m.payload); });
+  w.change_view(w.all());
+  w.client(1).send("before");
+  w.settle();
+  ASSERT_EQ(w.ep(0).last_dlvrd(w.pid(1)), 1);
+
+  w.ep(0).crash();
+  w.transport(0).crash();
+  w.sim.run_until(w.sim.now() + sim::kMillisecond);
+  w.transport(0).recover();
+  w.ep(0).recover();
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(1)), 0) << "p1 is not in v_p0";
+  w.client(0).send("alone");
+  w.settle();
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(0)), 1);
+
+  w.change_view(w.all());
+  w.client(1).send("after-b");
+  w.client(0).send("after-a");
+  w.settle();
+  EXPECT_EQ(rx0,
+            (std::vector<std::string>{"before", "alone", "after-a", "after-b"}));
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(0)), 1);
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(1)), 1);
+  w.checkers.finalize();
+}
+
+TEST(MemberTable, LastDlvrdForMemberAndNonMember) {
+  OracleWorld w(2);
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(0)), 0) << "initial view, nothing sent";
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(1)), 0) << "not in the initial view";
+  w.change_view(w.all());
+  for (int i = 0; i < 4; ++i) w.client(1).send("b" + std::to_string(i));
+  w.settle();
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(1)), 4);
+  EXPECT_EQ(w.ep(0).last_dlvrd(w.pid(0)), 0);
+  EXPECT_EQ(w.ep(0).last_dlvrd(ProcessId{99}), 0) << "never a member";
   w.checkers.finalize();
 }
 

@@ -79,6 +79,88 @@ TEST(FifoBuffer, DuplicatePutIsIdempotent) {
   EXPECT_EQ(buf.size(), 1u);
 }
 
+TEST(FifoBuffer, GapFillDrainsTheTailIntoThePrefix) {
+  gcs::FifoBuffer buf;
+  for (std::int64_t i : {5, 3, 2, 4}) {
+    buf.put(i, gcs::AppMsg{ProcessId{1}, static_cast<std::uint64_t>(i), ""});
+  }
+  buf.put(7, gcs::AppMsg{ProcessId{1}, 7, ""});
+  EXPECT_EQ(buf.longest_prefix(), 0);
+  EXPECT_EQ(buf.size(), 5u);
+  buf.put(1, gcs::AppMsg{ProcessId{1}, 1, ""});
+  EXPECT_EQ(buf.longest_prefix(), 5) << "1 closes the gap; 2..5 drain";
+  EXPECT_EQ(buf.last_index(), 7) << "7 stays past the gap at 6";
+  EXPECT_EQ(buf.size(), 6u);
+  for (std::int64_t i = 1; i <= 5; ++i) {
+    ASSERT_NE(buf.get(i), nullptr);
+    EXPECT_EQ(buf.get(i)->uid, static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(buf.append(gcs::AppMsg{ProcessId{1}, 6, ""}), 6);
+  EXPECT_EQ(buf.longest_prefix(), 7) << "6 drains 7 as well";
+  EXPECT_EQ(buf.size(), 7u);
+}
+
+TEST(FifoBuffer, FirstWriteWinsInPrefixAndTail) {
+  gcs::FifoBuffer buf;
+  buf.put(1, gcs::AppMsg{ProcessId{1}, 1, "a"});
+  buf.put(3, gcs::AppMsg{ProcessId{1}, 3, "c"});
+  buf.put(1, gcs::AppMsg{ProcessId{1}, 91, "dup"});  // prefix index
+  buf.put(3, gcs::AppMsg{ProcessId{1}, 93, "dup"});  // tail index
+  EXPECT_EQ(buf.get(1)->uid, 1u);
+  EXPECT_EQ(buf.get(3)->uid, 3u);
+  EXPECT_EQ(buf.size(), 2u);
+  buf.put(2, gcs::AppMsg{ProcessId{1}, 2, "b"});
+  EXPECT_EQ(buf.longest_prefix(), 3);
+  EXPECT_EQ(buf.get(3)->uid, 3u) << "the drained entry is the first write";
+  buf.put(3, gcs::AppMsg{ProcessId{1}, 93, "dup"});
+  EXPECT_EQ(buf.get(3)->uid, 3u);
+  EXPECT_EQ(buf.size(), 3u);
+}
+
+TEST(FifoBuffer, ReadsAcrossThePrefixTailBoundary) {
+  gcs::FifoBuffer buf;
+  buf.append(gcs::AppMsg{ProcessId{1}, 1, "a"});
+  buf.append(gcs::AppMsg{ProcessId{1}, 2, "b"});
+  buf.put(4, gcs::AppMsg{ProcessId{1}, 4, "d"});
+  buf.put(9, gcs::AppMsg{ProcessId{1}, 9, "i"});
+  EXPECT_EQ(buf.longest_prefix(), 2);
+  EXPECT_EQ(buf.last_index(), 9);
+  EXPECT_EQ(buf.size(), 4u);
+  EXPECT_EQ(buf.get(2)->payload, "b") << "last prefix entry";
+  EXPECT_EQ(buf.get(3), nullptr) << "the gap";
+  EXPECT_EQ(buf.get(4)->payload, "d") << "first tail entry";
+  EXPECT_EQ(buf.get(9)->payload, "i");
+  EXPECT_EQ(buf.get(10), nullptr);
+  EXPECT_FALSE(buf.empty());
+}
+
+TEST(FifoBuffer, NonPositiveAndHugeIndicesStaySparse) {
+  gcs::FifoBuffer buf;
+  buf.put(0, gcs::AppMsg{ProcessId{1}, 100, "zero"});
+  buf.put(-3, gcs::AppMsg{ProcessId{1}, 101, "negative"});
+  EXPECT_EQ(buf.longest_prefix(), 0);
+  EXPECT_EQ(buf.last_index(), 0) << "largest index present is 0";
+  // Sized to the index, the prefix would need 2^60 slots: this put would
+  // throw or exhaust memory instead of storing one tail entry.
+  constexpr std::int64_t kFar = std::int64_t{1} << 60;
+  buf.put(kFar, gcs::AppMsg{ProcessId{1}, 102, "far"});
+  EXPECT_EQ(buf.longest_prefix(), 0);
+  EXPECT_EQ(buf.last_index(), kFar);
+  EXPECT_EQ(buf.size(), 3u);
+  EXPECT_EQ(buf.get(0)->uid, 100u);
+  EXPECT_EQ(buf.get(-3)->uid, 101u);
+  EXPECT_EQ(buf.get(kFar)->uid, 102u);
+  EXPECT_EQ(buf.append(gcs::AppMsg{ProcessId{1}, 1, "first"}), 1)
+      << "sparse entries leave the prefix where it was";
+  EXPECT_EQ(buf.longest_prefix(), 1);
+  EXPECT_EQ(buf.size(), 4u);
+
+  gcs::FifoBuffer only_negative;
+  only_negative.put(-3, gcs::AppMsg{ProcessId{1}, 1, ""});
+  EXPECT_EQ(only_negative.last_index(), -3);
+  EXPECT_EQ(only_negative.longest_prefix(), 0);
+}
+
 TEST(WireMessages, SizesTrackPayloads) {
   gcs::AppMsg small{ProcessId{1}, 1, "x"};
   gcs::AppMsg big{ProcessId{1}, 2, std::string(1000, 'y')};
