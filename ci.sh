@@ -123,12 +123,35 @@ VSGC_BENCH_OUT="$ARTIFACT_DIR2" "$BUILD_DIR/bench/bench_view_change" > /dev/null
 cmp "$ARTIFACT_DIR/TRACE_view_change.jsonl" "$ARTIFACT_DIR2/TRACE_view_change.jsonl"
 echo "TRACE_view_change.jsonl byte-identical across runs"
 
+echo "== corruption stress sweep (eventual-safety suite) =="
+# State-corruption fault family (DESIGN.md §12): 200 seeds of corruption-heavy
+# churn judged by the eventual-safety checker bundle. Recoverable corruption
+# may violate safety only inside the post-injection tolerance window; any
+# post-window violation or failed reconvergence fails the sweep. Its stdout
+# (per seed: fault ops applied and violations tolerated) is one of the
+# behaviour digests checked next.
+DIGEST_DIR="$BUILD_DIR/digests"
+rm -rf "$DIGEST_DIR"
+mkdir -p "$DIGEST_DIR"
+CORRUPT_OUT="$BUILD_DIR/corrupt-out"
+rm -rf "$CORRUPT_OUT"
+if ! VSGC_BENCH_OUT="$DIGEST_DIR" "$BUILD_DIR/tools/vsgc_stress" --corrupt \
+    --seeds 0:199 --clients 4 --servers 2 --steps 15 --jobs "$JOBS" \
+    --out "$CORRUPT_OUT" 2>/dev/null | grep -v '^\[artifact\]' \
+    > "$DIGEST_DIR/vsgc_stress_corrupt_0_199.txt"; then
+  echo "corruption sweep violation; repro bundles under $CORRUPT_OUT" >&2
+  exit 1
+fi
+echo "200-seed corruption sweep clean (zero post-window violations)"
+
 echo "== behaviour digests (against committed SHA-256) =="
 # An execution is a pure function of (code, seed), so a change that claims
-# to keep behaviour must leave these outputs byte-for-byte alone. Neither
+# to keep behaviour must leave these outputs byte-for-byte alone. None
 # carries a wall-clock figure: the JSONL trace stamps events with sim time,
 # vsgc_stress prints one verdict line per seed and a summary (its throughput
-# line goes to stderr, and the artifact-path line is dropped here).
+# line goes to stderr, and the artifact-path line is dropped here). The
+# corruption sweep's lines also pin how many violations the eventual
+# checkers tolerated, so a checker rewrite that changes a verdict shows.
 #
 # When behaviour changes on purpose, regenerate the digests from a build of
 # the new code and commit them with the change:
@@ -136,13 +159,13 @@ echo "== behaviour digests (against committed SHA-256) =="
 #   VSGC_BENCH_OUT=. "$B/bench/bench_view_change" > /dev/null
 #   VSGC_BENCH_OUT=. "$B/tools/vsgc_stress" --seeds 1:40 --out stress-out \
 #     2>/dev/null | grep -v '^\[artifact\]' > vsgc_stress_seeds_1_40.txt
+#   VSGC_BENCH_OUT=. "$B/tools/vsgc_stress" --corrupt --seeds 0:199 \
+#     --clients 4 --servers 2 --steps 15 --out corrupt-out 2>/dev/null \
+#     | grep -v '^\[artifact\]' > vsgc_stress_corrupt_0_199.txt
 #   sha256sum TRACE_view_change.jsonl vsgc_stress_seeds_1_40.txt \
-#     > "$R/tests/golden/behaviour.sha256"
+#     vsgc_stress_corrupt_0_199.txt > "$R/tests/golden/behaviour.sha256"
 # (VSGC_BENCH_OUT must name an existing directory: when the artifact cannot
 # be written, the stdout layout differs.)
-DIGEST_DIR="$BUILD_DIR/digests"
-rm -rf "$DIGEST_DIR"
-mkdir -p "$DIGEST_DIR"
 cp "$ARTIFACT_DIR/TRACE_view_change.jsonl" "$DIGEST_DIR/"
 VSGC_BENCH_OUT="$DIGEST_DIR" "$BUILD_DIR/tools/vsgc_stress" \
   --seeds 1:40 --out "$DIGEST_DIR/stress-out" 2>/dev/null \
@@ -196,20 +219,6 @@ rm -rf "$PLANT_OUT"
 "$BUILD_DIR/tools/vsgc_stress" --replay "$PLANT_OUT/seed3" --expect-violation \
   > /dev/null
 echo "planted bug caught, minimized, and replayed"
-
-echo "== corruption stress sweep (eventual-safety suite) =="
-# State-corruption fault family (DESIGN.md §12): 200 seeds of corruption-heavy
-# churn judged by the eventual-safety checker bundle. Recoverable corruption
-# may violate safety only inside the post-injection tolerance window; any
-# post-window violation or failed reconvergence fails the sweep.
-CORRUPT_OUT="$BUILD_DIR/corrupt-out"
-rm -rf "$CORRUPT_OUT"
-if ! "$BUILD_DIR/tools/vsgc_stress" --corrupt --seeds 0:199 --clients 4 \
-    --servers 2 --steps 15 --jobs "$JOBS" --out "$CORRUPT_OUT" > /dev/null; then
-  echo "corruption sweep violation; repro bundles under $CORRUPT_OUT" >&2
-  exit 1
-fi
-echo "200-seed corruption sweep clean (zero post-window violations)"
 
 echo "== corruption pipeline self-check (planted wedge) =="
 # The unrecoverable planted corruption (the endpoint view-epoch wedge) must

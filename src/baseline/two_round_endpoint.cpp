@@ -30,6 +30,7 @@ void TwoRoundEndpoint::handle_start_change(StartChangeId cid,
 void TwoRoundEndpoint::on_view(const View& v) {
   if (crashed_) return;
   pending_.push_back(v);
+  reliable_inputs_changed();
   prune_pending();
   gcs::WvRfifoEndpoint::on_view(v);
 }
@@ -51,10 +52,12 @@ void TwoRoundEndpoint::prune_pending() {
     sync_sent_.erase(front.id);
     ++baseline_stats_.views_abandoned;
     pending_.pop_front();
+    reliable_inputs_changed();
   }
   // Drop queued views the installed view already supersedes.
   while (!pending_.empty() && !(current_view_.id < pending_.front().id)) {
     pending_.pop_front();
+    reliable_inputs_changed();
   }
 }
 
@@ -271,6 +274,7 @@ void TwoRoundEndpoint::pre_view_effects(const View& v) {
   VSGC_REQUIRE(!pending_.empty() && pending_.front() == v,
                "baseline installed a view it was not processing");
   pending_.pop_front();
+  reliable_inputs_changed();
   agrees_.erase(v.id);
   syncs_.erase(v.id);
   agree_sent_.erase(v.id);
@@ -282,6 +286,7 @@ void TwoRoundEndpoint::pre_view_effects(const View& v) {
 
 void TwoRoundEndpoint::reset_child_state() {
   pending_.clear();
+  reliable_inputs_changed();
   agrees_.clear();
   syncs_.clear();
   agree_sent_.clear();

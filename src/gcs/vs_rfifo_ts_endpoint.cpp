@@ -37,6 +37,7 @@ const SyncMsgData* VsRfifoTsEndpoint::latest_sync_msg(ProcessId q) const {
 void VsRfifoTsEndpoint::handle_start_change(StartChangeId cid,
                                             const std::set<ProcessId>& set) {
   start_change_ = {cid, set};
+  reliable_inputs_changed();
 
   // Two-tier catch-up (Section 9 extension): sync messages may have reached
   // this leader before its own start_change notification (the rounds run in
@@ -308,6 +309,7 @@ bool VsRfifoTsEndpoint::view_gate(const View& v,
 
 void VsRfifoTsEndpoint::pre_view_effects(const View& v) {
   start_change_.reset();
+  reliable_inputs_changed();
   forwarded_set_.clear();
   // Garbage-collect sync messages that this transition consumed; keep only
   // entries with cids newer than the ones the view carries (they belong to
@@ -358,6 +360,7 @@ bool VsRfifoTsEndpoint::try_forward() {
 
 void VsRfifoTsEndpoint::reset_child_state() {
   start_change_.reset();
+  reliable_inputs_changed();
   sync_msgs_.clear();
   forwarded_set_.clear();
 }

@@ -21,6 +21,7 @@ WvRfifoEndpoint::WvRfifoEndpoint(sim::Simulator& sim,
 
 void WvRfifoEndpoint::install_view(View v) {
   current_view_ = std::move(v);
+  reliable_inputs_changed();
   view_dests_ = nodes_of(current_view_.members, /*exclude_self=*/true);
   own_view_msg_current_ = view_msg_of(self_) == current_view_;
   // Garbage collection (Section 5.1 note): buffers of other views are dead —
@@ -209,12 +210,15 @@ void WvRfifoEndpoint::pump() {
 bool WvRfifoEndpoint::try_set_reliable() {
   // co_rfifo.reliable_p(set). Parent precondition: current_view.set ⊆ set;
   // the concrete set is chosen by the child hook (VS: ∪ start_change.set).
-  desired_.clear();
-  desired_.push_back(self_);
-  desired_reliable_set(desired_);
-  std::ranges::sort(desired_);
-  desired_.erase(std::unique(desired_.begin(), desired_.end()),
-                 desired_.end());
+  if (desired_stale_) {
+    desired_stale_ = false;
+    desired_.clear();
+    desired_.push_back(self_);
+    desired_reliable_set(desired_);
+    std::ranges::sort(desired_);
+    desired_.erase(std::unique(desired_.begin(), desired_.end()),
+                   desired_.end());
+  }
   // Compare against the transport's set as well as our mirror: a corrupted
   // transport reliable_set (sim::FaultOp::kCorruptReliable) silently stops
   // retransmission toward the dropped peer, and only this re-assertion path

@@ -110,12 +110,17 @@ class WvRfifoEndpoint : public membership::Listener {
 
   /// Precondition the child adds to co_rfifo.reliable: which set to
   /// maintain. Appends its members to `out` in any order, duplicates
-  /// allowed; the caller adds self, sorts and dedups. `out` is a reused
-  /// buffer, so the check allocates nothing once its capacity has grown.
+  /// allowed; the caller adds self, sorts and dedups. pump() calls it only
+  /// after reliable_inputs_changed(): an override that reads more state
+  /// than current_view_ must call that at every write of it.
   virtual void desired_reliable_set(std::vector<ProcessId>& out) const {
     out.insert(out.end(), current_view_.members.begin(),
                current_view_.members.end());
   }
+
+  /// An input of desired_reliable_set() changed: the next pump recomputes
+  /// the desired reliable set.
+  void reliable_inputs_changed() { desired_stale_ = true; }
 
   /// Precondition the child adds to deliver_p(q, m) for the message at
   /// `next_index` (1-based). Parent allows everything.
@@ -241,8 +246,10 @@ class WvRfifoEndpoint : public membership::Listener {
   /// Always nodes_of(current_view_.members, /*exclude_self=*/true): the
   /// destinations of view_msg and app_msg sends.
   std::set<net::NodeId> view_dests_;
-  /// Reused buffer for try_set_reliable's desired set.
+  /// desired_reliable_set() plus self, sorted and deduplicated; recomputed
+  /// by try_set_reliable only while desired_stale_.
   std::vector<ProcessId> desired_;
+  bool desired_stale_ = true;
   /// The member table (see member_rows()); replaces the last_dlvrd map.
   std::vector<MemberRow> rows_;
   /// Index of self's row in rows_ (self is always a member).

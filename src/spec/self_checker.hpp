@@ -13,17 +13,17 @@ namespace vsgc::spec {
 
 class SelfChecker : public WvRfifoChecker {
  protected:
-  void check_view(const GcsView& e) override {
-    const View& cv = current_view(e.p);
-    const auto& own_queue = msgs_[e.p][cv];
-    const std::int64_t own_delivered = last_dlvrd_[e.p][e.p];
+  void check_view(const GcsView& e, ViewRef to) override {
+    const std::size_t own_sent = sent_in_current_view(e.p);
+    const std::int64_t own_delivered = delivered_from(e.p, e.p);
     VSGC_REQUIRE(
-        own_delivered == static_cast<std::int64_t>(own_queue.size()),
+        own_delivered == static_cast<std::int64_t>(own_sent),
         "SELF: Self Delivery violated at "
             << to_string(e.p) << " moving to " << to_string(e.view.id)
-            << ": delivered " << own_delivered << " of " << own_queue.size()
-            << " own messages sent in " << to_string(cv.id));
-    WvRfifoChecker::check_view(e);
+            << ": delivered " << own_delivered << " of " << own_sent
+            << " own messages sent in "
+            << to_string(view(current_view_ref(e.p)).id));
+    WvRfifoChecker::check_view(e, to);
   }
 };
 

@@ -9,6 +9,9 @@
 // transition and validates mutual consistency in finalize(), which tests call
 // once the execution quiesces: for any p, q that both delivered v',
 //     q ∈ T_p  ⇔  prev_view(q) == prev_view(p),   for q ∈ v'.set ∩ prev_p.set.
+// Views are interned (spec/view_table.hpp), so each recorded transition
+// holds two refs instead of two View copies, and "the same view" is ref
+// equality.
 #pragma once
 
 #include <limits>
@@ -18,6 +21,7 @@
 
 #include "sim/time.hpp"
 #include "spec/events.hpp"
+#include "spec/view_table.hpp"
 #include "util/assert.hpp"
 
 namespace vsgc::spec {
@@ -26,7 +30,9 @@ class TransSetChecker : public TraceSink {
  public:
   void on_event(const Event& event) override {
     if (const auto* v = std::get_if<GcsView>(&event.body)) {
-      const View& prev = current_view(v->p);
+      const ViewRef to = views_.intern(v->view);
+      const ViewRef from = current_view(v->p);
+      const View& prev = views_[from];
       VSGC_REQUIRE(v->transitional.contains(v->p),
                    "TRANS_SET: transitional set at " << to_string(v->p)
                                                      << " excludes itself");
@@ -37,12 +43,12 @@ class TransSetChecker : public TraceSink {
                                    << to_string(v->p));
       }
       deliveries_.push_back(
-          Delivery{v->p, prev, v->view, v->transitional, event.at});
-      current_view_.insert_or_assign(v->p, v->view);
+          Delivery{v->p, from, to, v->transitional, event.at});
+      current_view_.insert_or_assign(v->p, to);
       return;
     }
     if (const auto* r = std::get_if<Recover>(&event.body)) {
-      current_view_.insert_or_assign(r->p, View::initial(r->p));
+      current_view_.insert_or_assign(r->p, views_.intern(View::initial(r->p)));
       return;
     }
   }
@@ -57,21 +63,23 @@ class TransSetChecker : public TraceSink {
   /// the cutoff = -inf special case.
   void finalize_after(sim::Time cutoff) const {
     // prev[(q, v')] = the view q moved to v' from (unique per q, v').
-    std::map<std::pair<ProcessId, View>, View> prev;
+    std::map<std::pair<ProcessId, ViewRef>, ViewRef> prev;
     for (const Delivery& d : deliveries_) {
       prev.emplace(std::make_pair(d.p, d.view), d.previous);
     }
     for (const Delivery& d : deliveries_) {
       if (d.at <= cutoff) continue;
-      for (ProcessId q : d.view.members) {
-        if (!d.previous.contains(q)) continue;
+      const View& view = views_[d.view];
+      const View& previous = views_[d.previous];
+      for (ProcessId q : view.members) {
+        if (!previous.contains(q)) continue;
         auto it = prev.find(std::make_pair(q, d.view));
         if (it == prev.end()) continue;  // q never delivered v'
         const bool moved_together = it->second == d.previous;
         VSGC_REQUIRE(
             d.transitional.contains(q) == moved_together,
             "TRANS_SET: Property 4.1 violated — at "
-                << to_string(d.p) << " moving to " << to_string(d.view.id)
+                << to_string(d.p) << " moving to " << to_string(view.id)
                 << ", " << to_string(q)
                 << (moved_together
                         ? " moved from the same view but is not in T"
@@ -85,21 +93,23 @@ class TransSetChecker : public TraceSink {
  private:
   struct Delivery {
     ProcessId p;
-    View previous;
-    View view;
+    ViewRef previous;
+    ViewRef view;
     std::set<ProcessId> transitional;
     sim::Time at = 0;
   };
 
-  const View& current_view(ProcessId p) {
+  /// current_view[p]'s ref (p's initial view on first sight).
+  ViewRef current_view(ProcessId p) {
     auto it = current_view_.find(p);
     if (it == current_view_.end()) {
-      it = current_view_.emplace(p, View::initial(p)).first;
+      it = current_view_.emplace(p, views_.intern(View::initial(p))).first;
     }
     return it->second;
   }
 
-  std::map<ProcessId, View> current_view_;
+  ViewTable views_;
+  std::map<ProcessId, ViewRef> current_view_;
   std::vector<Delivery> deliveries_;
 };
 

@@ -426,5 +426,51 @@ TEST(EventualBundle, FinalizeExemptsTransitionsInsideTheWindowOnly) {
   }
 }
 
+/// Eventually<>::resync() rebuilds the inner checker by move-assignment
+/// (inner_ = Inner()). After a tolerated violation has triggered it, the
+/// rebuilt checker grows its per-process tables well past their first
+/// capacity and must still reject an out-of-order delivery after the window:
+/// state cached across the move or the growth would read freed memory (the
+/// Debug+ASan CI build reports that) or check against a stale queue.
+template <typename Inner>
+void expect_exact_after_resync() {
+  Eventually<Inner> checker(kWindow);
+  sim::Time t = 0;
+  const auto emit = [&](EventBody body) {
+    checker.on_event(Event{++t, std::move(body)});
+  };
+  const View v1 = make_view(1, {kP1, kP2});
+  emit(FaultInjected{"corrupt_seq", ""});
+  emit(GcsView{kP1, v1, {kP1}});
+  emit(GcsView{kP2, v1, {kP2}});
+  emit(GcsSend{kP1, msg(kP1, 1)});
+  emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});
+  emit(GcsDeliver{kP2, kP1, msg(kP1, 1)});  // duplicate: tolerated
+  ASSERT_EQ(checker.tolerated(), 1u);
+  for (std::uint32_t i = 3; i < 67; ++i) {
+    const ProcessId p{i};
+    emit(GcsView{p, make_view(1, {p}), {p}});
+    emit(GcsSend{p, msg(p, 1)});
+    emit(GcsDeliver{p, p, msg(p, 1)});
+  }
+  emit(GcsSend{kP1, msg(kP1, 2)});
+  emit(GcsSend{kP1, msg(kP1, 3)});
+  t += kWindow;
+  const std::string what =
+      violation_of([&] { emit(GcsDeliver{kP2, kP1, msg(kP1, 3)}); });
+  EXPECT_NE(what.find("WV_RFIFO"), std::string::npos) << what;
+  EXPECT_TRUE(
+      violation_of([&] { emit(GcsDeliver{kP2, kP1, msg(kP1, 2)}); }).empty());
+  EXPECT_EQ(checker.tolerated(), 1u);
+}
+
+TEST(EventualResync, VsRfifoRejectsOutOfOrderDeliveryAfterResync) {
+  expect_exact_after_resync<VsRfifoChecker>();
+}
+
+TEST(EventualResync, SelfRejectsOutOfOrderDeliveryAfterResync) {
+  expect_exact_after_resync<SelfChecker>();
+}
+
 }  // namespace
 }  // namespace vsgc::spec

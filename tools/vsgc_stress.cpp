@@ -158,6 +158,7 @@ struct RunResult {
   std::vector<spec::Event> trace;
   sim::Simulator::Stats sim_stats;  ///< kernel counters at end of run
   sim::Time sim_time = 0;           ///< final simulated clock
+  std::uint64_t tolerated = 0;      ///< eventual-bundle swallowed violations
   double wall_seconds = 0.0;        ///< host time for this run (summary only)
 };
 
@@ -200,6 +201,9 @@ RunResult run_one(const StressConfig& cfg, std::uint64_t seed,
   result.trace = w.trace().recorded();
   result.sim_stats = w.sim().stats();
   result.sim_time = w.sim().now();
+  if (const auto* eventual = w.eventual_checkers()) {
+    result.tolerated = eventual->tolerated();
+  }
   return result;
 }
 
@@ -431,7 +435,9 @@ int main(int argc, char** argv) {
     artifact.tally(result.sim_stats, result.sim_time);
     if (!result.violation) {
       std::cout << "seed " << seed << ": ok (" << result.script.ops.size()
-                << " fault ops)\n";
+                << " fault ops";
+      if (cfg.corrupt) std::cout << ", " << result.tolerated << " tolerated";
+      std::cout << ")\n";
       continue;
     }
     ++violations;
