@@ -11,6 +11,7 @@
 #include <set>
 
 #include "app/world.hpp"
+#include "obs/json_codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_collector.hpp"
 #include "obs/trace_recorder.hpp"
@@ -51,7 +52,8 @@ int main() {
 
   std::cout << "Derived metrics after " << world.sim().now() / sim::kMillisecond
             << " simulated ms:\n"
-            << registry.to_json().dump_pretty() << "\n";
+            << obs::to_json(registry.to_json(), obs::JsonStyle::kPretty)
+            << "\n";
 
   std::ofstream jsonl("observability_trace.jsonl", std::ios::binary);
   recorder.write_jsonl(jsonl);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/field_list.hpp"
 #include "util/ids.hpp"
 
 namespace vsgc::gcs {
@@ -22,7 +23,8 @@ struct AppMsg {
 
   template <class V>
   void fields(V& v) {
-    v(sender, uid, payload);
+    v(codec::field("sender", sender), codec::field("uid", uid),
+      codec::field("payload", payload));
   }
 };
 

@@ -7,16 +7,26 @@
 #pragma once
 
 #include <memory>
+#include <span>
 
 #include "gcs/gcs_endpoint.hpp"
 #include "membership/membership_client.hpp"
 #include "net/network.hpp"
 #include "sim/time.hpp"
 #include "spec/events.hpp"
+#include "util/field_list.hpp"
 
 namespace vsgc::gcs {
 
 enum class ForwardingKind { kSimple, kMinCopies };
+
+inline std::span<const codec::EnumName<ForwardingKind>> enum_names(
+    ForwardingKind) {
+  static constexpr codec::EnumName<ForwardingKind> kNames[] = {
+      {ForwardingKind::kSimple, "simple"},
+      {ForwardingKind::kMinCopies, "mincopies"}};
+  return kNames;
+}
 
 inline std::unique_ptr<ForwardingStrategy> make_strategy(ForwardingKind kind) {
   switch (kind) {

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "app/world.hpp"
-#include "obs/json.hpp"
-#include "obs/trace_recorder.hpp"
+#include "obs/json_codec.hpp"
 #include "sim/batch.hpp"
 #include "spec/liveness_checker.hpp"
 #include "util/assert.hpp"
@@ -24,98 +22,25 @@ std::size_t chunk_size(const sim::BatchRunner& runner) {
   return std::max<std::size_t>(runner.jobs() * 4, 1);
 }
 
-/// FNV-1a over a choice sequence: two runs with equal signatures consumed
-/// identical choices and are therefore the same execution.
+/// FNV-1a over the JSON text of a choice sequence: two runs with equal
+/// signatures consumed identical choices and are therefore the same execution.
 std::uint64_t signature(const std::vector<Choice>& choices) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  for (const Choice& c : choices) {
-    for (const char ch : c.kind) mix(static_cast<unsigned char>(ch));
-    mix(c.n);
-    mix(c.pick);
-  }
-  return h;
+  obs::Fnv1aSink sink;
+  obs::write_json(sink, choices);
+  return sink.hash;
 }
 
+/// FNV-1a over the trace's JSONL text, streamed without materializing it.
 std::uint64_t trace_hash(const std::vector<spec::Event>& trace) {
-  std::ostringstream os;
-  obs::write_jsonl(trace, os);
-  const std::string text = os.str();
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char ch : text) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ULL;
+  obs::Fnv1aSink sink;
+  for (const spec::Event& ev : trace) {
+    obs::write_json(sink, ev);
+    sink.put('\n');
   }
-  return h;
+  return sink.hash;
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// ScenarioConfig <-> JSON
-// ---------------------------------------------------------------------------
-
-obs::JsonValue ScenarioConfig::to_json() const {
-  obs::JsonValue j = obs::JsonValue::object();
-  j["clients"] = clients;
-  j["servers"] = servers;
-  j["seed"] = seed;
-  j["messages"] = messages;
-  j["trigger_leave"] = trigger_leave;
-  j["fault_slots"] = fault_slots;
-  j["slot_gap"] = slot_gap;
-  j["settle"] = settle;
-  j["drop"] = drop;
-  j["jitter"] = jitter;
-  j["inject_bug"] = inject_bug;
-  j["corruption"] = corruption;
-  return j;
-}
-
-bool ScenarioConfig::from_json(const obs::JsonValue& j, ScenarioConfig* out) {
-  if (!j.is_object()) return false;
-  const obs::JsonValue* seed = j.find("seed");
-  if (seed == nullptr || !seed->is_int()) return false;
-  out->seed = static_cast<std::uint64_t>(seed->as_int());
-  if (const auto* v = j.find("clients")) out->clients = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("servers")) out->servers = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("messages")) out->messages = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("trigger_leave")) out->trigger_leave = v->as_bool();
-  if (const auto* v = j.find("fault_slots")) out->fault_slots = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("slot_gap")) out->slot_gap = v->as_int();
-  if (const auto* v = j.find("settle")) out->settle = v->as_int();
-  if (const auto* v = j.find("drop")) out->drop = v->as_double();
-  if (const auto* v = j.find("jitter")) out->jitter = v->as_int();
-  if (const auto* v = j.find("inject_bug")) out->inject_bug = v->as_bool();
-  if (const auto* v = j.find("corruption")) out->corruption = v->as_bool();
-  return true;
-}
-
-obs::JsonValue ExploreStats::to_json() const {
-  obs::JsonValue j = obs::JsonValue::object();
-  j["runs"] = runs;
-  j["deduped"] = deduped;
-  j["choice_points"] = choice_points;
-  j["unique_traces"] = unique_traces;
-  j["violations"] = violations;
-  j["depth_completed"] = depth_completed;
-  j["frontier_exhausted"] = frontier_exhausted;
-  j["budget_exhausted"] = budget_exhausted;
-  obs::JsonValue lv = obs::JsonValue::array();
-  for (const Level& l : levels) {
-    obs::JsonValue row = obs::JsonValue::object();
-    row["depth"] = l.depth;
-    row["runs"] = l.runs;
-    row["deduped"] = l.deduped;
-    row["enqueued"] = l.enqueued;
-    lv.push_back(std::move(row));
-  }
-  j["levels"] = std::move(lv);
-  return j;
-}
 
 // ---------------------------------------------------------------------------
 // Scenario execution

@@ -37,10 +37,7 @@
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "spec/events.hpp"
-
-namespace vsgc::obs {
-class JsonValue;
-}  // namespace vsgc::obs
+#include "util/field_list.hpp"
 
 namespace vsgc::mc {
 
@@ -66,8 +63,17 @@ struct ScenarioConfig {
   /// *unrecoverable* kBugCorruptWedge instead of the dup-delivery forgery.
   bool corruption = false;
 
-  obs::JsonValue to_json() const;
-  static bool from_json(const obs::JsonValue& j, ScenarioConfig* out);
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("clients", clients), codec::field("servers", servers),
+      codec::field("seed", seed), codec::field("messages", messages),
+      codec::field("trigger_leave", trigger_leave),
+      codec::field("fault_slots", fault_slots),
+      codec::field("slot_gap", slot_gap), codec::field("settle", settle),
+      codec::field("drop", drop), codec::field("jitter", jitter),
+      codec::field("inject_bug", inject_bug),
+      codec::field("corruption", corruption));
+  }
 };
 
 /// Exploration bounds. Exhaustive *within* these bounds; the stats say
@@ -105,10 +111,27 @@ struct ExploreStats {
     std::uint64_t runs = 0;
     std::uint64_t deduped = 0;
     std::uint64_t enqueued = 0;  ///< children scheduled for the next level
+
+    template <class V>
+    void fields(V& v) {
+      v(codec::field("depth", depth), codec::field("runs", runs),
+        codec::field("deduped", deduped), codec::field("enqueued", enqueued));
+    }
   };
   std::vector<Level> levels;
 
-  obs::JsonValue to_json() const;
+  /// The BENCH_mc.json result row (sim totals go to the artifact's "sim").
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("runs", runs), codec::field("deduped", deduped),
+      codec::field("choice_points", choice_points),
+      codec::field("unique_traces", unique_traces),
+      codec::field("violations", violations),
+      codec::field("depth_completed", depth_completed),
+      codec::field("frontier_exhausted", frontier_exhausted),
+      codec::field("budget_exhausted", budget_exhausted),
+      codec::field("levels", levels));
+  }
 };
 
 /// One controlled execution, end to end.

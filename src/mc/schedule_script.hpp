@@ -20,9 +20,7 @@
 #include <string>
 #include <vector>
 
-namespace vsgc::obs {
-class JsonValue;
-}  // namespace vsgc::obs
+#include "util/field_list.hpp"
 
 namespace vsgc::mc {
 
@@ -34,6 +32,11 @@ struct Choice {
   std::uint32_t pick = 0;
 
   bool operator==(const Choice&) const = default;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("kind", kind), codec::field("n", n),
+      codec::field("pick", pick));
+  }
 };
 
 struct ScheduleScript {
@@ -46,8 +49,10 @@ struct ScheduleScript {
   /// uncontrolled execution (what the delay bound counts).
   std::size_t deviations() const;
 
-  obs::JsonValue to_json() const;
-  static bool from_json(const obs::JsonValue& j, ScheduleScript* out);
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("seed", seed), codec::field("choices", choices));
+  }
 };
 
 }  // namespace vsgc::mc

@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 
+#include "util/field_list.hpp"
 #include "util/ids.hpp"
 
 namespace vsgc {
@@ -42,9 +43,12 @@ struct View {
   friend bool operator==(const View&, const View&) = default;
   friend auto operator<=>(const View&, const View&) = default;
 
+  /// In JSON the id is flattened into "epoch"/"origin" and start_id is an
+  /// object keyed by the decimal process id.
   template <class V>
   void fields(V& v) {
-    v(id, members, start_id);
+    v(codec::flat(id), codec::field("members", members),
+      codec::field("start_id", start_id));
   }
 };
 

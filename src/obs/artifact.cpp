@@ -5,6 +5,8 @@
 #include <fstream>
 #include <iostream>
 
+#include "obs/json_codec.hpp"
+
 namespace vsgc::obs {
 
 BenchArtifact::BenchArtifact(std::string name)
@@ -59,7 +61,7 @@ std::string BenchArtifact::write_file(const std::string& dir) {
     std::cerr << "obs: cannot write " << path << "\n";
     return {};
   }
-  root_.write_pretty(os);
+  write_json(os, root_, JsonStyle::kPretty);
   os << '\n';
   if (!os) return {};
   std::cout << "\n[artifact] wrote " << path << "\n";

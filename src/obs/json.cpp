@@ -2,9 +2,8 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <ostream>
-#include <sstream>
+
+#include "obs/json_codec.hpp"
 
 namespace vsgc::obs {
 
@@ -17,33 +16,11 @@ JsonValue& JsonValue::operator[](const std::string& key) {
   return members_.back().second;
 }
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   for (const auto& [k, v] : members_) {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (c < 0x20 || c >= 0x7F) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << static_cast<char>(c);
-        }
-    }
-  }
-  os << '"';
 }
 
 std::string format_double(double v) {
@@ -59,88 +36,6 @@ std::string format_double(double v) {
     out += ".0";
   }
   return out;
-}
-
-void JsonValue::write(std::ostream& os) const {
-  switch (kind_) {
-    case Kind::kNull: os << "null"; break;
-    case Kind::kBool: os << (bool_ ? "true" : "false"); break;
-    case Kind::kInt: os << int_; break;
-    case Kind::kDouble: os << format_double(double_); break;
-    case Kind::kString: write_json_string(os, string_); break;
-    case Kind::kArray: {
-      os << '[';
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (i > 0) os << ',';
-        items_[i].write(os);
-      }
-      os << ']';
-      break;
-    }
-    case Kind::kObject: {
-      os << '{';
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        if (i > 0) os << ',';
-        write_json_string(os, members_[i].first);
-        os << ':';
-        members_[i].second.write(os);
-      }
-      os << '}';
-      break;
-    }
-  }
-}
-
-void JsonValue::write_pretty(std::ostream& os, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  const std::string pad_in(static_cast<std::size_t>(indent + 1) * 2, ' ');
-  switch (kind_) {
-    case Kind::kArray: {
-      if (items_.empty()) {
-        os << "[]";
-        return;
-      }
-      os << "[\n";
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        os << pad_in;
-        items_[i].write_pretty(os, indent + 1);
-        if (i + 1 < items_.size()) os << ',';
-        os << '\n';
-      }
-      os << pad << ']';
-      break;
-    }
-    case Kind::kObject: {
-      if (members_.empty()) {
-        os << "{}";
-        return;
-      }
-      os << "{\n";
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        os << pad_in;
-        write_json_string(os, members_[i].first);
-        os << ": ";
-        members_[i].second.write_pretty(os, indent + 1);
-        if (i + 1 < members_.size()) os << ',';
-        os << '\n';
-      }
-      os << pad << '}';
-      break;
-    }
-    default: write(os);
-  }
-}
-
-std::string JsonValue::dump() const {
-  std::ostringstream os;
-  write(os);
-  return os.str();
-}
-
-std::string JsonValue::dump_pretty() const {
-  std::ostringstream os;
-  write_pretty(os);
-  return os.str();
 }
 
 namespace {
@@ -198,8 +93,14 @@ class Parser {
       return {};
     }
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Bounded recursion: hostile nesting cannot exhaust the stack.
+      if (++depth_ > kMaxDepth) fail("nesting too deep");
+      JsonValue v;
+      if (ok_) v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (c == 't') {
       if (literal("true")) return JsonValue(true);
@@ -342,6 +243,12 @@ class Parser {
       if (res.ec == std::errc() && res.ptr == tok.data() + tok.size()) {
         return JsonValue(out);
       }
+      std::uint64_t big = 0;  // above INT64_MAX, kept exact
+      const char* end = tok.data() + tok.size();
+      const auto ures = std::from_chars(tok.data(), end, big);
+      if (ures.ec == std::errc() && ures.ptr == end) {
+        return JsonValue(big);
+      }
     }
     double out = 0;
     const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), out);
@@ -352,9 +259,12 @@ class Parser {
     return JsonValue(out);
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   bool ok_ = true;
 };
 

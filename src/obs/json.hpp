@@ -13,9 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,18 +24,19 @@ namespace vsgc::obs {
 
 class JsonValue {
  public:
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
+  /// kUint holds only integers above INT64_MAX; every other one is kInt.
+  enum class Kind {
+    kNull, kBool, kInt, kUint, kDouble, kString, kArray, kObject
+  };
 
   JsonValue() : kind_(Kind::kNull) {}
   JsonValue(bool b) : kind_(Kind::kBool), bool_(b) {}
-  JsonValue(int v) : kind_(Kind::kInt), int_(v) {}
-  JsonValue(long v) : kind_(Kind::kInt), int_(v) {}
-  JsonValue(long long v) : kind_(Kind::kInt), int_(v) {}
-  JsonValue(unsigned v) : kind_(Kind::kInt), int_(static_cast<std::int64_t>(v)) {}
-  JsonValue(unsigned long v)
-      : kind_(Kind::kInt), int_(static_cast<std::int64_t>(v)) {}
-  JsonValue(unsigned long long v)
-      : kind_(Kind::kInt), int_(static_cast<std::int64_t>(v)) {}
+  /// Any integer; an unsigned one above INT64_MAX is kept exactly (kUint).
+  template <class I>
+    requires(std::is_integral_v<I> && !std::is_same_v<I, bool>)
+  JsonValue(I v)
+      : kind_(std::in_range<std::int64_t>(v) ? Kind::kInt : Kind::kUint),
+        int_(static_cast<std::int64_t>(v)) {}
   JsonValue(double v) : kind_(Kind::kDouble), double_(v) {}
   JsonValue(const char* s) : kind_(Kind::kString), string_(s) {}
   JsonValue(std::string s) : kind_(Kind::kString), string_(std::move(s)) {}
@@ -55,7 +57,8 @@ class JsonValue {
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_int() const { return kind_ == Kind::kInt; }
   bool is_double() const { return kind_ == Kind::kDouble; }
-  bool is_number() const { return is_int() || is_double(); }
+  bool is_uint() const { return kind_ == Kind::kUint; }
+  bool is_number() const { return is_int() || is_uint() || is_double(); }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
@@ -64,8 +67,11 @@ class JsonValue {
   std::int64_t as_int() const {
     return kind_ == Kind::kDouble ? static_cast<std::int64_t>(double_) : int_;
   }
+  std::uint64_t as_uint() const { return static_cast<std::uint64_t>(int_); }
   double as_double() const {
-    return kind_ == Kind::kInt ? static_cast<double>(int_) : double_;
+    if (kind_ == Kind::kInt) return static_cast<double>(int_);
+    if (kind_ == Kind::kUint) return static_cast<double>(as_uint());
+    return double_;
   }
   const std::string& as_string() const { return string_; }
 
@@ -84,20 +90,14 @@ class JsonValue {
   /// Get-or-insert a member; inserting keeps document order deterministic.
   JsonValue& operator[](const std::string& key);
   /// Member lookup; nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
+  const JsonValue* find(std::string_view key) const;
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
     return members_;
   }
 
-  /// Compact single-line serialization (used for JSONL records).
-  void write(std::ostream& os) const;
-  /// Pretty-printed serialization (used for BENCH_*.json artifacts).
-  void write_pretty(std::ostream& os, int indent = 0) const;
-  std::string dump() const;
-  std::string dump_pretty() const;
-
   /// Parse one JSON document from `text`. On failure returns a null value and
   /// sets *error (when non-null) to a description with character offset.
+  /// Nesting deeper than 256 arrays/objects is a parse failure.
   static JsonValue parse(const std::string& text, std::string* error = nullptr);
 
  private:
@@ -109,9 +109,6 @@ class JsonValue {
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
-
-/// Escape `s` as a JSON string literal (including the surrounding quotes).
-void write_json_string(std::ostream& os, const std::string& s);
 
 /// Shortest round-trip formatting for doubles ("0.3", not "0.29999999...").
 std::string format_double(double v);

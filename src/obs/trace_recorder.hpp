@@ -13,7 +13,9 @@
 //    Opening a view-change timeline shows the paper's E1 claim directly: the
 //    VS round OVERLAPS the membership round instead of following it.
 //
-// JSONL schema (field order fixed; `at` in simulated microseconds):
+// JSONL schema (`at` in simulated microseconds). Each record is derived from
+// spec::Event's field list by obs/json_codec.hpp: "type" is the body's kType
+// and the body's fields follow in declaration order.
 //   {"at":N,"type":"gcs_send","p":P,"msg":{"sender":Q,"uid":U,"payload":S}}
 //   {"at":N,"type":"gcs_deliver","p":P,"q":Q,"msg":{...}}
 //   {"at":N,"type":"gcs_view","p":P,"view":V,"transitional":[P...]}
@@ -31,22 +33,19 @@
 //   {"at":N,"type":"xport_retransmit","from_node":A,"to_node":B,"packets":K}
 //   {"at":N,"type":"mbr_phase","node":X,"phase":S,"round":R}
 // where V = {"epoch":E,"origin":O,"members":[P...],"start_id":{"P":C,...}}.
+// read_jsonl() rejects a line that is not one JSON object, an unknown type,
+// a missing member, a member of the wrong JSON type, an integer outside its
+// field's range (a ProcessId is a uint32) and a start_id key that is not a
+// decimal process id.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "spec/events.hpp"
 
 namespace vsgc::obs {
-
-/// One trace event as a JSON object (the JSONL record, unserialized).
-JsonValue event_to_json(const spec::Event& event);
-
-/// Inverse of event_to_json. Returns false on schema mismatch.
-bool event_from_json(const JsonValue& record, spec::Event* out);
 
 class TraceRecorder : public spec::TraceSink {
  public:
@@ -70,7 +69,7 @@ class TraceRecorder : public spec::TraceSink {
 };
 
 /// Parse a JSONL stream produced by write_jsonl back into events.
-/// Returns false (and stops) on the first malformed line.
+/// Returns false (and stops) on the first malformed line; never throws.
 bool read_jsonl(std::istream& is, std::vector<spec::Event>* out);
 
 void write_jsonl(const std::vector<spec::Event>& events, std::ostream& os);

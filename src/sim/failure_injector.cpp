@@ -12,37 +12,6 @@ namespace vsgc::sim {
 
 namespace {
 
-struct KindName {
-  FaultOp::Kind kind;
-  const char* name;
-};
-
-constexpr KindName kKindNames[] = {
-    {FaultOp::Kind::kCrash, "crash"},
-    {FaultOp::Kind::kRecover, "recover"},
-    {FaultOp::Kind::kLeave, "leave"},
-    {FaultOp::Kind::kRejoin, "rejoin"},
-    {FaultOp::Kind::kServerDown, "server_down"},
-    {FaultOp::Kind::kServerUp, "server_up"},
-    {FaultOp::Kind::kPartition, "partition"},
-    {FaultOp::Kind::kWave, "wave"},
-    {FaultOp::Kind::kWaveLift, "wave_lift"},
-    {FaultOp::Kind::kHeal, "heal"},
-    {FaultOp::Kind::kLinkDown, "link_down"},
-    {FaultOp::Kind::kLinkUp, "link_up"},
-    {FaultOp::Kind::kDrop, "drop"},
-    {FaultOp::Kind::kLatency, "latency"},
-    {FaultOp::Kind::kCrashInDelivery, "crash_in_delivery"},
-    {FaultOp::Kind::kTraffic, "traffic"},
-    {FaultOp::Kind::kBugDupDeliver, "bug_dup_deliver"},
-    {FaultOp::Kind::kCorruptSeq, "corrupt_seq"},
-    {FaultOp::Kind::kCorruptAck, "corrupt_ack"},
-    {FaultOp::Kind::kCorruptReliable, "corrupt_reliable_set"},
-    {FaultOp::Kind::kCorruptView, "corrupt_view_id"},
-    {FaultOp::Kind::kCorruptBackoff, "corrupt_backoff"},
-    {FaultOp::Kind::kBugCorruptWedge, "bug_corrupt_wedge"},
-};
-
 std::string node_ref(int v) {
   return encodes_server(v) ? "s" + std::to_string(decode_server(v))
                            : "p" + std::to_string(v);
@@ -116,149 +85,47 @@ std::string op_detail(const FaultOp& op) {
 }  // namespace
 
 const char* FaultOp::name() const {
-  for (const KindName& kn : kKindNames) {
-    if (kn.kind == kind) return kn.name;
+  for (const FaultKindInfo& info : kFaultKinds) {
+    if (info.value == kind) return info.name;
   }
   return "unknown";
 }
 
-// ---------------------------------------------------------------------------
-// FaultScript <-> JSON
-// ---------------------------------------------------------------------------
-
-obs::JsonValue FaultScript::to_json() const {
-  obs::JsonValue root = obs::JsonValue::object();
-  root["seed"] = seed;
-  obs::JsonValue arr = obs::JsonValue::array();
-  for (const FaultOp& op : ops) {
-    obs::JsonValue j = obs::JsonValue::object();
-    j["at"] = op.at;
-    j["kind"] = op.name();
-    switch (op.kind) {
-      case FaultOp::Kind::kCrash:
-      case FaultOp::Kind::kRecover:
-      case FaultOp::Kind::kLeave:
-      case FaultOp::Kind::kRejoin:
-      case FaultOp::Kind::kServerDown:
-      case FaultOp::Kind::kServerUp:
-      case FaultOp::Kind::kCrashInDelivery:
-        j["a"] = op.a;
-        break;
-      case FaultOp::Kind::kTraffic:
-        j["a"] = op.a;
-        j["payload"] = op.payload;
-        break;
-      case FaultOp::Kind::kWave:
-      case FaultOp::Kind::kWaveLift:
-      case FaultOp::Kind::kPartition: {
-        obs::JsonValue groups = obs::JsonValue::array();
-        for (const auto& group : op.groups) {
-          obs::JsonValue g = obs::JsonValue::array();
-          for (int v : group) g.push_back(v);
-          groups.push_back(std::move(g));
-        }
-        j["groups"] = std::move(groups);
-        break;
-      }
-      case FaultOp::Kind::kLinkDown:
-      case FaultOp::Kind::kLinkUp:
-        j["a"] = op.a;
-        j["b"] = op.b;
-        j["oneway"] = op.oneway;
-        break;
-      case FaultOp::Kind::kDrop:
-        j["p"] = op.p;
-        break;
-      case FaultOp::Kind::kLatency:
-        j["t0"] = op.t0;
-        j["t1"] = op.t1;
-        break;
-      case FaultOp::Kind::kCorruptSeq:
-      case FaultOp::Kind::kCorruptAck:
-      case FaultOp::Kind::kCorruptReliable:
-      case FaultOp::Kind::kCorruptBackoff:
-        j["a"] = op.a;
-        j["b"] = op.b;
-        j["v"] = op.v;
-        break;
-      case FaultOp::Kind::kCorruptView:
-      case FaultOp::Kind::kBugCorruptWedge:
-        j["a"] = op.a;
-        j["v"] = op.v;
-        break;
-      case FaultOp::Kind::kHeal:
-      case FaultOp::Kind::kBugDupDeliver:
-        break;
-    }
-    arr.push_back(std::move(j));
+unsigned FaultOp::args() const {
+  for (const FaultKindInfo& info : kFaultKinds) {
+    if (info.value == kind) return info.args;
   }
-  root["ops"] = std::move(arr);
-  return root;
+  return 0;
 }
 
-bool FaultScript::from_json(const obs::JsonValue& j, FaultScript* out) {
-  if (!j.is_object()) return false;
-  const obs::JsonValue* seed = j.find("seed");
-  const obs::JsonValue* ops = j.find("ops");
-  if (seed == nullptr || !seed->is_int() || ops == nullptr ||
-      !ops->is_array()) {
-    return false;
+std::string FaultOp::index_error(int processes, int servers) const {
+  const unsigned use = args();
+  const auto in = [](int i, int n) { return i >= 0 && i < n; };
+  // Node refs encode server s as -(s+1), so servers are -1 .. -servers.
+  const auto node = [&](int r) {
+    return r < 0 ? r >= -servers : r < processes;
+  };
+  const auto error = [](const char* what, int v) {
+    return std::string(what) + "=" + std::to_string(v);
+  };
+  if ((use & kArgProcess) != 0 && !in(a, processes)) {
+    return error("process index a", a);
   }
-  out->seed = static_cast<std::uint64_t>(seed->as_int());
-  out->ops.clear();
-  for (const obs::JsonValue& rec : ops->items()) {
-    if (!rec.is_object()) return false;
-    const obs::JsonValue* at = rec.find("at");
-    const obs::JsonValue* kind = rec.find("kind");
-    if (at == nullptr || !at->is_int() || kind == nullptr ||
-        !kind->is_string()) {
-      return false;
-    }
-    FaultOp op;
-    op.at = at->as_int();
-    bool known = false;
-    for (const KindName& kn : kKindNames) {
-      if (kind->as_string() == kn.name) {
-        op.kind = kn.kind;
-        known = true;
-        break;
-      }
-    }
-    if (!known) return false;
-    if (const obs::JsonValue* a = rec.find("a")) {
-      op.a = static_cast<int>(a->as_int());
-    }
-    if (const obs::JsonValue* b = rec.find("b")) {
-      op.b = static_cast<int>(b->as_int());
-    }
-    if (const obs::JsonValue* oneway = rec.find("oneway")) {
-      op.oneway = oneway->is_bool() && oneway->as_bool();
-    }
-    if (const obs::JsonValue* p = rec.find("p")) op.p = p->as_double();
-    if (const obs::JsonValue* t0 = rec.find("t0")) op.t0 = t0->as_int();
-    if (const obs::JsonValue* t1 = rec.find("t1")) op.t1 = t1->as_int();
-    if (const obs::JsonValue* v = rec.find("v")) {
-      op.v = static_cast<std::uint64_t>(v->as_int());
-    }
-    if (const obs::JsonValue* payload = rec.find("payload")) {
-      if (!payload->is_string()) return false;
-      op.payload = payload->as_string();
-    }
-    if (const obs::JsonValue* groups = rec.find("groups")) {
-      if (!groups->is_array()) return false;
-      for (const obs::JsonValue& g : groups->items()) {
-        if (!g.is_array()) return false;
-        std::vector<int> group;
-        for (const obs::JsonValue& v : g.items()) {
-          if (!v.is_int()) return false;
-          group.push_back(static_cast<int>(v.as_int()));
-        }
-        op.groups.push_back(std::move(group));
-      }
-    }
-    out->ops.push_back(std::move(op));
+  if ((use & kArgServer) != 0 && !in(a, servers)) {
+    return error("server index a", a);
   }
-  return true;
+  if ((use & kArgPeer) != 0 && !in(b, processes)) {
+    return error("process index b", b);
+  }
+  if ((use & kArgLink) != 0 && !node(a)) return error("node ref a", a);
+  if ((use & kArgLink) != 0 && !node(b)) return error("node ref b", b);
+  if ((use & kArgGroups) == 0) return "";
+  for (const auto& group : groups) {
+    for (const int r : group) {
+      if (!node(r)) return error("node ref in groups", r);
+    }
+  }
+  return "";
 }
 
 // ---------------------------------------------------------------------------

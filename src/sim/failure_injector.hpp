@@ -26,19 +26,26 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "spec/events.hpp"
+#include "util/field_list.hpp"
 #include "util/rng.hpp"
 
-namespace vsgc::obs {
-class JsonValue;
-}  // namespace vsgc::obs
-
 namespace vsgc::sim {
+
+/// The arguments a FaultOp kind uses (kFaultKinds): a is a process index
+/// (kArgProcess) or a server index (kArgServer); a and b are node refs plus
+/// oneway (kArgLink); b is a process index (kArgPeer); p (kArgDrop); t0 and
+/// t1 (kArgLatency); v (kArgValue); payload; groups of node refs.
+enum FaultArg : unsigned {
+  kArgProcess = 1, kArgServer = 2, kArgLink = 4, kArgPeer = 8, kArgDrop = 16,
+  kArgLatency = 32, kArgValue = 64, kArgPayload = 128, kArgGroups = 256,
+};
 
 /// One concrete fault (or traffic nudge) applied at a simulated time.
 /// Every op is absolute and self-contained, so ANY subset of a script is a
@@ -87,7 +94,69 @@ struct FaultOp {
 
   /// Stable op name as published on the TraceBus and in scripts.
   const char* name() const;
+  unsigned args() const;
+
+  /// Empty if every index the op uses names one of `processes` processes or
+  /// `servers` servers; otherwise describes the first one that does not.
+  std::string index_error(int processes, int servers) const;
+
+  /// JSON form: "at", "kind", then only the arguments the kind uses.
+  template <class V>
+  void fields(V& vis) {
+    vis(codec::field("at", at), codec::field("kind", kind));
+    const unsigned use = args();  // a reader has just set `kind`
+    vis(codec::field_if(use & (kArgProcess | kArgServer | kArgLink), "a", a),
+        codec::field_if(use & (kArgLink | kArgPeer), "b", b),
+        codec::field_if(use & kArgLink, "oneway", oneway),
+        codec::field_if(use & kArgDrop, "p", p),
+        codec::field_if(use & kArgLatency, "t0", t0),
+        codec::field_if(use & kArgLatency, "t1", t1),
+        codec::field_if(use & kArgValue, "v", v),
+        codec::field_if(use & kArgPayload, "payload", payload),
+        codec::field_if(use & kArgGroups, "groups", groups));
+  }
 };
+
+struct FaultKindInfo {
+  FaultOp::Kind value;
+  const char* name;
+  unsigned args;  ///< FaultArg bits
+};
+
+inline constexpr unsigned kCorruptPairArgs =
+    kArgProcess | kArgPeer | kArgValue;
+
+inline constexpr FaultKindInfo kFaultKinds[] = {
+    {FaultOp::Kind::kCrash, "crash", kArgProcess},
+    {FaultOp::Kind::kRecover, "recover", kArgProcess},
+    {FaultOp::Kind::kLeave, "leave", kArgProcess},
+    {FaultOp::Kind::kRejoin, "rejoin", kArgProcess},
+    {FaultOp::Kind::kServerDown, "server_down", kArgServer},
+    {FaultOp::Kind::kServerUp, "server_up", kArgServer},
+    {FaultOp::Kind::kPartition, "partition", kArgGroups},
+    {FaultOp::Kind::kWave, "wave", kArgGroups},
+    {FaultOp::Kind::kWaveLift, "wave_lift", kArgGroups},
+    {FaultOp::Kind::kHeal, "heal", 0},
+    {FaultOp::Kind::kLinkDown, "link_down", kArgLink},
+    {FaultOp::Kind::kLinkUp, "link_up", kArgLink},
+    {FaultOp::Kind::kDrop, "drop", kArgDrop},
+    {FaultOp::Kind::kLatency, "latency", kArgLatency},
+    {FaultOp::Kind::kCrashInDelivery, "crash_in_delivery", kArgProcess},
+    {FaultOp::Kind::kTraffic, "traffic", kArgProcess | kArgPayload},
+    {FaultOp::Kind::kBugDupDeliver, "bug_dup_deliver", 0},
+    {FaultOp::Kind::kCorruptSeq, "corrupt_seq", kCorruptPairArgs},
+    {FaultOp::Kind::kCorruptAck, "corrupt_ack", kCorruptPairArgs},
+    {FaultOp::Kind::kCorruptReliable, "corrupt_reliable_set", kCorruptPairArgs},
+    {FaultOp::Kind::kCorruptView, "corrupt_view_id", kArgProcess | kArgValue},
+    {FaultOp::Kind::kCorruptBackoff, "corrupt_backoff", kCorruptPairArgs},
+    {FaultOp::Kind::kBugCorruptWedge, "bug_corrupt_wedge",
+     kArgProcess | kArgValue},
+};
+
+/// The JSON codec's name table for FaultOp::Kind (found by ADL).
+constexpr std::span<const FaultKindInfo> enum_names(FaultOp::Kind) {
+  return kFaultKinds;
+}
 
 /// Encoding of mixed process/server node references inside FaultOp fields
 /// (partition groups and link endpoints): process i => i, server s => -(s+1).
@@ -101,8 +170,10 @@ struct FaultScript {
   std::uint64_t seed = 0;  ///< injector seed that generated it (provenance)
   std::vector<FaultOp> ops;
 
-  obs::JsonValue to_json() const;
-  static bool from_json(const obs::JsonValue& j, FaultScript* out);
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("seed", seed), codec::field("ops", ops));
+  }
 };
 
 /// The surface a deployment exposes to the injector. All callbacks must be

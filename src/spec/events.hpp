@@ -5,6 +5,7 @@
 // them and assert, online, that every event was legal — the runtime analogue
 // of the paper's refinement proofs. Each event corresponds to an external
 // action of the composed system, tagged with the process p at which it occurs.
+// Each event names its JSON type (kType) and fields (obs/json_codec.hpp).
 #pragma once
 
 #include <cstdint>
@@ -17,59 +18,94 @@
 #include "gcs/app_msg.hpp"
 #include "membership/view.hpp"
 #include "sim/time.hpp"
+#include "util/field_list.hpp"
 #include "util/ids.hpp"
 
 namespace vsgc::spec {
 
 /// GCS.send_p(m)
 struct GcsSend {
+  static constexpr const char* kType = "gcs_send";
   ProcessId p;
   gcs::AppMsg msg;
+  template <class V>
+  void fields(V& v) { v(codec::field("p", p), codec::field("msg", msg)); }
 };
 
 /// GCS.deliver_p(q, m)
 struct GcsDeliver {
+  static constexpr const char* kType = "gcs_deliver";
   ProcessId p;  ///< receiving process
   ProcessId q;  ///< original sender
   gcs::AppMsg msg;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("p", p), codec::field("q", q), codec::field("msg", msg));
+  }
 };
 
 /// GCS.view_p(v, T)
 struct GcsView {
+  static constexpr const char* kType = "gcs_view";
   ProcessId p;
   View view;
   std::set<ProcessId> transitional;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("p", p), codec::field("view", view),
+      codec::field("transitional", transitional));
+  }
 };
 
 /// GCS.block_p()
 struct GcsBlock {
+  static constexpr const char* kType = "gcs_block";
   ProcessId p;
+  template <class V>
+  void fields(V& v) { v(codec::field("p", p)); }
 };
 
 /// client.block_ok_p()
 struct GcsBlockOk {
+  static constexpr const char* kType = "gcs_block_ok";
   ProcessId p;
+  template <class V>
+  void fields(V& v) { v(codec::field("p", p)); }
 };
 
 /// MBRSHP.start_change_p(cid, set)
 struct MbrStartChange {
+  static constexpr const char* kType = "mbr_start_change";
   ProcessId p;
   StartChangeId cid;
   std::set<ProcessId> set;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("p", p), codec::field("cid", cid), codec::field("set", set));
+  }
 };
 
 /// MBRSHP.view_p(v)
 struct MbrView {
+  static constexpr const char* kType = "mbr_view";
   ProcessId p;
   View view;
+  template <class V>
+  void fields(V& v) { v(codec::field("p", p), codec::field("view", view)); }
 };
 
 /// crash_p() / recover_p() (Section 8)
 struct Crash {
+  static constexpr const char* kType = "crash";
   ProcessId p;
+  template <class V>
+  void fields(V& v) { v(codec::field("p", p)); }
 };
 struct Recover {
+  static constexpr const char* kType = "recover";
   ProcessId p;
+  template <class V>
+  void fields(V& v) { v(codec::field("p", p)); }
 };
 
 /// Environment fault applied by sim::FailureInjector (partition, link
@@ -80,8 +116,13 @@ struct Recover {
 // could constrain; the consumers are MetricsCollector/TraceRecorder (src/obs).
 // vsgc-lint: allow(event-coverage) adversarial input metadata, consumed by src/obs timelines rather than by a spec checker
 struct FaultInjected {
+  static constexpr const char* kType = "fault";
   std::string kind;    ///< stable op name, e.g. "partition", "link_down"
   std::string detail;  ///< human-readable arguments
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("kind", kind), codec::field("detail", detail));
+  }
 };
 
 // ---- Causal span layer (DESIGN.md §10) ----------------------------------
@@ -97,43 +138,71 @@ struct FaultInjected {
 /// left the end-point's send buffer for the wire.
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
 struct MsgWireSend {
+  static constexpr const char* kType = "msg_wire_send";
   ProcessId p;  ///< == sender
   ProcessId sender;
   std::uint64_t uid = 0;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("p", p), codec::field("sender", sender),
+      codec::field("uid", uid));
+  }
 };
 
 /// An application message reached p's end-point buffer off the wire.
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
 struct MsgRecv {
+  static constexpr const char* kType = "msg_recv";
   ProcessId p;
   ProcessId from;    ///< wire-level sender (the forwarder for forwarded copies)
   ProcessId sender;  ///< trace id: original sender
   std::uint64_t uid = 0;
   bool forwarded = false;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("p", p), codec::field("from", from),
+      codec::field("sender", sender), codec::field("uid", uid),
+      codec::field("fwd", forwarded));
+  }
 };
 
 /// p forwarded (sender, uid) to `copies` destinations during a view change.
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
 struct MsgForward {
+  static constexpr const char* kType = "msg_forward";
   ProcessId p;
   ProcessId sender;
   std::uint64_t uid = 0;
   std::uint64_t copies = 0;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("p", p), codec::field("sender", sender),
+      codec::field("uid", uid), codec::field("copies", copies));
+  }
 };
 
 /// p committed its cut and multicast its synchronization message for cid.
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
 struct SyncSent {
+  static constexpr const char* kType = "sync_sent";
   ProcessId p;
   StartChangeId cid;
+  template <class V>
+  void fields(V& v) { v(codec::field("p", p), codec::field("cid", cid)); }
 };
 
 /// p stored q's synchronization message for cid (direct or relayed).
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
 struct SyncRecv {
+  static constexpr const char* kType = "sync_recv";
   ProcessId p;
   ProcessId from;
   StartChangeId cid;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("p", p), codec::field("from", from),
+      codec::field("cid", cid));
+  }
 };
 
 /// A CO_RFIFO retransmission burst: `packets` re-sent from node `from_node`
@@ -141,9 +210,15 @@ struct SyncRecv {
 /// net::NodeId encoding (servers live at net::kServerBase + s).
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
 struct XportRetransmit {
+  static constexpr const char* kType = "xport_retransmit";
   std::uint32_t from_node = 0;
   std::uint32_t to_node = 0;
   std::uint64_t packets = 0;
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("from_node", from_node), codec::field("to_node", to_node),
+      codec::field("packets", packets));
+  }
 };
 
 /// Membership-side view-change phase marker, keyed by node (server nodes use
@@ -154,9 +229,15 @@ struct XportRetransmit {
 /// the Local Monotonicity guards).
 // vsgc-lint: allow(event-coverage) causal span marker, consumed by obs::SpanCollector / tools/vsgc_trace rather than by a spec checker
 struct MbrPhase {
+  static constexpr const char* kType = "mbr_phase";
   std::uint32_t node = 0;
   std::string phase;
   std::uint64_t round = 0;  ///< agreement round / epoch (0 when not known)
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("node", node), codec::field("phase", phase),
+      codec::field("round", round));
+  }
 };
 
 using EventBody = std::variant<GcsSend, GcsDeliver, GcsView, GcsBlock,
@@ -165,9 +246,13 @@ using EventBody = std::variant<GcsSend, GcsDeliver, GcsView, GcsBlock,
                                MsgForward, SyncSent, SyncRecv, XportRetransmit,
                                MbrPhase>;
 
+/// In JSON an event is {"at":N,"type":T,...}: T is the body's kType and the
+/// body's fields follow (obs/trace_recorder.hpp).
 struct Event {
   sim::Time at = 0;
   EventBody body;
+  template <class V>
+  void fields(V& v) { v(codec::field("at", at), codec::tagged("type", body)); }
 };
 
 class TraceSink {

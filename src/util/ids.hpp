@@ -13,6 +13,9 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
+
+#include "util/field_list.hpp"
 
 namespace vsgc {
 
@@ -51,7 +54,19 @@ struct ViewId {
   static constexpr ViewId zero() { return ViewId{0, 0}; }
 
   friend auto operator<=>(const ViewId&, const ViewId&) = default;
+
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("epoch", epoch), codec::field("origin", origin));
+  }
 };
+
+/// The single-integer identifier types; every codec writes them as their
+/// integer `value`.
+template <class T>
+concept IntegerId = std::is_same_v<T, ProcessId> ||
+                    std::is_same_v<T, ServerId> ||
+                    std::is_same_v<T, StartChangeId>;
 
 std::string to_string(ProcessId id);
 std::string to_string(ServerId id);

@@ -13,10 +13,11 @@
 // directions. A struct with a `kTag` is written as its tag byte followed by
 // its fields; decode() rejects any other tag byte, then runs the struct's
 // optional `validate()` hook (cross-field invariants). A struct without a
-// tag (View, AppMsg) is a plain field group inside a message. Leaves with a
-// format no field list can state (IntervalSet's run cap, FrameHeader's
-// flag-gated fields) keep a hand-written `encode(Out&)` / `decode(Decoder&)`
-// pair, which the same entry points call.
+// tag (View, AppMsg) is a plain field group inside a message. A field may
+// carry its JSON name (codec::field, util/field_list.hpp), which the wire
+// form ignores. Leaves with a format no field list can state (IntervalSet's
+// run cap, FrameHeader's flag-gated fields) keep a hand-written
+// `encode(Out&)` / `decode(Decoder&)` pair, which the same entry points call.
 //
 // Field encodings: integers little-endian fixed width (bool as one byte);
 // ids as their integer parts; strings and byte blobs as u32 length + bytes;
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/field_list.hpp"
 #include "util/ids.hpp"
 
 namespace vsgc {
@@ -186,12 +188,6 @@ CountedBy<C> counted_by(std::uint32_t& count, C& items) {
 
 template <class T> struct IsPair : std::false_type {};
 template <class A, class B> struct IsPair<std::pair<A, B>> : std::true_type {};
-template <class T> struct IsSet : std::false_type {};
-template <class K> struct IsSet<std::set<K>> : std::true_type {};
-template <class T> struct IsMap : std::false_type {};
-template <class K, class V> struct IsMap<std::map<K, V>> : std::true_type {};
-template <class T> struct IsVector : std::false_type {};
-template <class E> struct IsVector<std::vector<E>> : std::true_type {};
 template <class T> struct IsCountedBy : std::false_type {};
 template <class C> struct IsCountedBy<CountedBy<C>> : std::true_type {};
 
@@ -257,13 +253,10 @@ void write(Out& out, const T& v) {
   } else if constexpr (std::is_same_v<T, std::uint64_t> ||
                        std::is_same_v<T, std::int64_t>) {
     out.put_u64(static_cast<std::uint64_t>(v));
-  } else if constexpr (std::is_same_v<T, ProcessId> ||
-                       std::is_same_v<T, ServerId> ||
-                       std::is_same_v<T, StartChangeId>) {
+  } else if constexpr (IntegerId<T>) {
     write(out, v.value);
-  } else if constexpr (std::is_same_v<T, ViewId>) {
-    out.put_u64(v.epoch);
-    out.put_u32(v.origin);
+  } else if constexpr (IsNamed<T>::value || IsFlat<T>::value) {
+    write(out, v.value);
   } else if constexpr (std::is_same_v<T, std::string> ||
                        std::is_same_v<T, std::vector<std::uint8_t>>) {
     out.put_u32(static_cast<std::uint32_t>(v.size()));
@@ -303,13 +296,10 @@ void read(Decoder& dec, T& v) {
     v = dec.get_u64();
   } else if constexpr (std::is_same_v<T, std::int64_t>) {
     v = dec.get_i64();
-  } else if constexpr (std::is_same_v<T, ProcessId> ||
-                       std::is_same_v<T, ServerId> ||
-                       std::is_same_v<T, StartChangeId>) {
+  } else if constexpr (IntegerId<T>) {
     read(dec, v.value);
-  } else if constexpr (std::is_same_v<T, ViewId>) {
-    v.epoch = dec.get_u64();
-    v.origin = dec.get_u32();
+  } else if constexpr (IsNamed<T>::value || IsFlat<T>::value) {
+    read(dec, v.value);
   } else if constexpr (std::is_same_v<T, std::string>) {
     v = dec.get_string();
   } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {

@@ -570,6 +570,8 @@ void randomize(Rng& rng, T& v) {
   } else if constexpr (std::is_same_v<T, ViewId>) {
     v.epoch = rng.next_u64() >> 1;
     v.origin = static_cast<std::uint32_t>(rng.next_u64());
+  } else if constexpr (codec::IsNamed<T>::value || codec::IsFlat<T>::value) {
+    randomize(rng, v.value);
   } else if constexpr (std::is_same_v<T, std::string>) {
     v = random_payload(rng);
   } else if constexpr (codec::IsPair<T>::value) {

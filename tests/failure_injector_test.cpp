@@ -11,6 +11,7 @@
 
 #include "app/world.hpp"
 #include "obs/json.hpp"
+#include "obs/json_codec.hpp"
 #include "util/assert.hpp"
 
 namespace vsgc {
@@ -90,13 +91,13 @@ FaultScript SampleScript() {
 
 TEST(FaultScript, JsonRoundTripPreservesEveryField) {
   const FaultScript script = SampleScript();
-  const std::string text = script.to_json().dump();
+  const std::string text = obs::to_json(script);
 
   std::string error;
   const obs::JsonValue parsed = obs::JsonValue::parse(text, &error);
   ASSERT_TRUE(error.empty()) << error;
   FaultScript back;
-  ASSERT_TRUE(FaultScript::from_json(parsed, &back));
+  ASSERT_TRUE(obs::from_json(parsed, &back));
 
   ASSERT_EQ(back.seed, script.seed);
   ASSERT_EQ(back.ops.size(), script.ops.size());
@@ -116,7 +117,7 @@ TEST(FaultScript, JsonRoundTripPreservesEveryField) {
     EXPECT_EQ(a.v, b.v) << "op " << i;
   }
   // Serialization itself is byte-deterministic.
-  EXPECT_EQ(text, back.to_json().dump());
+  EXPECT_EQ(text, obs::to_json(back));
 }
 
 // -- Replay and elision -------------------------------------------------------

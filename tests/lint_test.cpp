@@ -13,6 +13,7 @@
 
 #include "lint/linter.hpp"
 #include "obs/json.hpp"
+#include "obs/json_codec.hpp"
 
 namespace vsgc::lint {
 namespace {
@@ -633,7 +634,9 @@ TEST(LintDeps, ArtifactHasSchemaFieldsAndDotHeader) {
 
   std::string error;
   const obs::JsonValue doc =
-      obs::JsonValue::parse(linter.deps_json(".").dump_pretty(), &error);
+      obs::JsonValue::parse(
+          obs::to_json(linter.deps_json("."), obs::JsonStyle::kPretty),
+          &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(doc.find("tool")->as_string(), "vsgc_deps");
   EXPECT_EQ(doc.find("schema_version")->as_int(), 1);
@@ -657,7 +660,8 @@ TEST(LintJson, ArtifactHasSchemaFieldsAndRoundTrips) {
   linter.lint_source("src/sim/fixture.cpp",
                      "int f() { return std::rand(); }\n");
   linter.finalize();
-  const std::string text = linter.to_json(".").dump_pretty();
+  const std::string text =
+      obs::to_json(linter.to_json("."), obs::JsonStyle::kPretty);
 
   std::string error;
   const obs::JsonValue doc = obs::JsonValue::parse(text, &error);
@@ -686,7 +690,7 @@ TEST(LintJson, ArtifactIsByteDeterministic) {
     linter.lint_source("src/sim/fixture.cpp",
                        "int a = std::rand();\nint b = time(nullptr);\n");
     linter.finalize();
-    return linter.to_json(".").dump_pretty();
+    return obs::to_json(linter.to_json("."), obs::JsonStyle::kPretty);
   };
   EXPECT_EQ(render(), render());
 }

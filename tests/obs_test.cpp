@@ -9,6 +9,7 @@
 #include "app/world.hpp"
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
+#include "obs/json_codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_collector.hpp"
 #include "obs/trace_recorder.hpp"
@@ -20,21 +21,22 @@ namespace {
 // ---------------------------------------------------------------- JSON model
 
 TEST(Json, ScalarRoundTrip) {
-  EXPECT_EQ(obs::JsonValue(42).dump(), "42");
-  EXPECT_EQ(obs::JsonValue(-7).dump(), "-7");
-  EXPECT_EQ(obs::JsonValue(true).dump(), "true");
-  EXPECT_EQ(obs::JsonValue(false).dump(), "false");
-  EXPECT_EQ(obs::JsonValue().dump(), "null");
-  EXPECT_EQ(obs::JsonValue("hi").dump(), "\"hi\"");
-  EXPECT_EQ(obs::JsonValue(0.3).dump(), "0.3");
-  EXPECT_EQ(obs::JsonValue(2.0).dump(), "2.0");
+  EXPECT_EQ(obs::to_json(obs::JsonValue(42)), "42");
+  EXPECT_EQ(obs::to_json(obs::JsonValue(-7)), "-7");
+  EXPECT_EQ(obs::to_json(obs::JsonValue(true)), "true");
+  EXPECT_EQ(obs::to_json(obs::JsonValue(false)), "false");
+  EXPECT_EQ(obs::to_json(obs::JsonValue()), "null");
+  EXPECT_EQ(obs::to_json(obs::JsonValue("hi")), "\"hi\"");
+  EXPECT_EQ(obs::to_json(obs::JsonValue(0.3)), "0.3");
+  EXPECT_EQ(obs::to_json(obs::JsonValue(2.0)), "2.0");
 }
 
 TEST(Json, StringEscaping) {
-  EXPECT_EQ(obs::JsonValue("a\"b\\c\nd").dump(), "\"a\\\"b\\\\c\\nd\"");
+  EXPECT_EQ(obs::to_json(obs::JsonValue("a\"b\\c\nd")),
+            "\"a\\\"b\\\\c\\nd\"");
   // Non-ASCII bytes escape to \u00XX and decode back to the same byte.
   const std::string payload = "x\x01\xffy";
-  const std::string text = obs::JsonValue(payload).dump();
+  const std::string text = obs::to_json(obs::JsonValue(payload));
   std::string error;
   const obs::JsonValue parsed = obs::JsonValue::parse(text, &error);
   ASSERT_TRUE(parsed.is_string()) << error;
@@ -66,7 +68,7 @@ TEST(Json, ObjectsPreserveInsertionOrder) {
   obs::JsonValue v = obs::JsonValue::object();
   v["zebra"] = 1;
   v["alpha"] = 2;
-  EXPECT_EQ(v.dump(), "{\"zebra\":1,\"alpha\":2}");
+  EXPECT_EQ(obs::to_json(v), "{\"zebra\":1,\"alpha\":2}");
 }
 
 // ----------------------------------------------------------- metric primitives
@@ -118,7 +120,7 @@ TEST(Metrics, RegistryJsonIsDeterministicAndSorted) {
   reg.counter("a.metric", obs::process_labels(2)).inc(1);
   reg.counter("a.metric", obs::process_labels(1)).inc(1);
   reg.histogram("h").observe(7);
-  const std::string dump = reg.to_json().dump();
+  const std::string dump = obs::to_json(reg.to_json());
   // Export iterates in (name, labels) order regardless of creation order.
   EXPECT_LT(dump.find("a.metric"), dump.find("b.metric"));
   EXPECT_LT(dump.find("\"p1\""), dump.find("\"p2\""));
@@ -128,7 +130,7 @@ TEST(Metrics, RegistryJsonIsDeterministicAndSorted) {
   reg2.counter("a.metric", obs::process_labels(1)).inc(1);
   reg2.counter("a.metric", obs::process_labels(2)).inc(1);
   reg2.counter("b.metric").inc(2);
-  EXPECT_EQ(dump, reg2.to_json().dump());
+  EXPECT_EQ(dump, obs::to_json(reg2.to_json()));
 }
 
 // ------------------------------------------------------- scripted view change

@@ -26,8 +26,11 @@
 #include <vector>
 
 #include "lint/linter.hpp"
+#include "obs/json_codec.hpp"
 
 namespace {
+
+constexpr auto kPretty = vsgc::obs::JsonStyle::kPretty;
 
 int usage() {
   std::cerr << "usage: vsgc_lint [--root DIR] [--json FILE] "
@@ -120,7 +123,7 @@ int main(int argc, char** argv) {
       std::cerr << "vsgc_lint: cannot write " << json_out << "\n";
       return 2;
     }
-    out << linter.to_json(root).dump_pretty() << "\n";
+    out << vsgc::obs::to_json(linter.to_json(root), kPretty) << "\n";
   }
   if (!deps_json_out.empty()) {
     std::ofstream out(deps_json_out, std::ios::binary);
@@ -128,7 +131,7 @@ int main(int argc, char** argv) {
       std::cerr << "vsgc_lint: cannot write " << deps_json_out << "\n";
       return 2;
     }
-    out << linter.deps_json(root).dump_pretty() << "\n";
+    out << vsgc::obs::to_json(linter.deps_json(root), kPretty) << "\n";
   }
   if (!dot_out.empty()) {
     std::ofstream out(dot_out, std::ios::binary);

@@ -45,6 +45,7 @@
 #include "mc/explorer.hpp"
 #include "obs/artifact.hpp"
 #include "obs/json.hpp"
+#include "obs/json_codec.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/batch.hpp"
 
@@ -76,20 +77,18 @@ void write_text(const fs::path& path, const std::string& text) {
   os << text;
 }
 
-void write_json(const fs::path& path, const obs::JsonValue& j) {
-  std::ofstream os(path, std::ios::binary);
-  j.write_pretty(os);
-  os << '\n';
+template <class T>
+void write_json(const fs::path& path, const T& value) {
+  write_text(path, obs::to_json(value, obs::JsonStyle::kPretty) + "\n");
 }
 
-bool read_json(const fs::path& path, obs::JsonValue* out) {
+template <class T>
+bool read_json(const fs::path& path, T* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   std::stringstream text;
   text << in.rdbuf();
-  std::string error;
-  *out = obs::JsonValue::parse(text.str(), &error);
-  return error.empty();
+  return obs::parse_json(text.str(), out);
 }
 
 /// Writes the bundle; returns true if the (minimized) schedule still replays
@@ -98,8 +97,8 @@ bool emit_bundle(const CliConfig& cfg, const mc::RunResult& failed) {
   const fs::path dir =
       fs::path(cfg.out_dir) / ("seed" + std::to_string(cfg.scenario.seed));
   fs::create_directories(dir);
-  write_json(dir / "scenario.json", cfg.scenario.to_json());
-  write_json(dir / "schedule.json", failed.script.to_json());
+  write_json(dir / "scenario.json", cfg.scenario);
+  write_json(dir / "schedule.json", failed.script);
   write_text(dir / "trace.jsonl", render_trace(failed.trace));
 
   std::ostringstream violation;
@@ -110,7 +109,7 @@ bool emit_bundle(const CliConfig& cfg, const mc::RunResult& failed) {
         mc::minimize_schedule(cfg.scenario, failed.script.picks());
     const mc::RunResult min_run = mc::run_scenario(cfg.scenario, min_picks);
     reproduces = min_run.violation;
-    write_json(dir / "schedule.min.json", min_run.script.to_json());
+    write_json(dir / "schedule.min.json", min_run.script);
     write_text(dir / "trace.min.jsonl", render_trace(min_run.trace));
     violation << "minimized: " << failed.script.deviations() << " -> "
               << min_run.script.deviations() << " deviation(s)\n";
@@ -128,10 +127,8 @@ bool emit_bundle(const CliConfig& cfg, const mc::RunResult& failed) {
 
 int replay_bundle(const CliConfig& cfg) {
   const fs::path dir = cfg.replay_dir;
-  obs::JsonValue scenario_json;
   mc::ScenarioConfig sc;
-  if (!read_json(dir / "scenario.json", &scenario_json) ||
-      !mc::ScenarioConfig::from_json(scenario_json, &sc)) {
+  if (!read_json(dir / "scenario.json", &sc)) {
     std::cerr << "cannot parse " << (dir / "scenario.json").string() << "\n";
     return 2;
   }
@@ -141,10 +138,8 @@ int replay_bundle(const CliConfig& cfg) {
     script_path = dir / "schedule.json";
     trace_path = dir / "trace.jsonl";
   }
-  obs::JsonValue script_json;
   mc::ScheduleScript script;
-  if (!read_json(script_path, &script_json) ||
-      !mc::ScheduleScript::from_json(script_json, &script)) {
+  if (!read_json(script_path, &script)) {
     std::cerr << "cannot parse " << script_path.string() << "\n";
     return 2;
   }
@@ -189,13 +184,13 @@ void print_stats(const mc::ExploreStats& stats, const char* mode) {
 void write_artifact(const CliConfig& cfg, const mc::ExploreStats& stats,
                     bool violation_found) {
   obs::BenchArtifact artifact("mc");
-  artifact.config("scenario") = cfg.scenario.to_json();
+  artifact.config("scenario") = obs::JsonValue::parse(obs::to_json(cfg.scenario));
   artifact.config("max_deviations") = cfg.explore.max_deviations;
   artifact.config("max_runs") = cfg.explore.max_runs;
   artifact.config("horizon") = cfg.explore.horizon;
   artifact.config("mode") = cfg.random_walk ? "random_walk" : "explore";
   obs::JsonValue& row = artifact.add_result();
-  row = stats.to_json();
+  row = obs::JsonValue::parse(obs::to_json(stats));
   row["violation_found"] = violation_found;
   artifact.tally(stats.sim_stats, stats.sim_time);
   const std::string path = artifact.write_file();

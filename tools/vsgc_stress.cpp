@@ -42,7 +42,7 @@
 
 #include "app/world.hpp"
 #include "obs/artifact.hpp"
-#include "obs/json.hpp"
+#include "obs/json_codec.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/batch.hpp"
 #include "sim/failure_injector.hpp"
@@ -54,15 +54,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct StressConfig {
-  std::uint64_t seed_lo = 0;
-  std::uint64_t seed_hi = 49;
+/// Everything one seed's execution depends on; a repro bundle's config.json.
+struct RunConfig {
+  std::uint64_t seed = 0;
   int clients = 4;
   int servers = 1;
   int steps = 25;
   double drop = 0.0;
   bool two_tier = false;
   gcs::ForwardingKind forwarding = gcs::ForwardingKind::kMinCopies;
+  int bug_at_step = -1;
   /// State-corruption mode (DESIGN.md §12): the churn policy draws corruption
   /// ops, the world attaches the eventual-safety checker bundle (violations
   /// tolerated inside eventual_window after an injection), and --inject-bug
@@ -71,7 +72,23 @@ struct StressConfig {
   /// the minimizer judge every script subset under the *same* window bound.
   bool corrupt = false;
   sim::Time eventual_window = 30 * sim::kSecond;
-  int bug_at_step = -1;
+
+  template <class V>
+  void fields(V& v) {
+    v(codec::field("seed", seed), codec::field("clients", clients),
+      codec::field("servers", servers), codec::field("steps", steps),
+      codec::field("drop", drop), codec::field("two_tier", two_tier),
+      codec::field("forwarding", forwarding),
+      codec::field("bug_at_step", bug_at_step),
+      codec::field("corrupt", corrupt),
+      codec::field("eventual_window", eventual_window));
+  }
+};
+
+struct StressConfig {
+  std::uint64_t seed_lo = 0;
+  std::uint64_t seed_hi = 49;
+  RunConfig run;  ///< `run.seed` is set per seed of the sweep
   std::string out_dir = "stress-out";
   bool minimize = true;
   bool expect_violation = false;
@@ -79,51 +96,11 @@ struct StressConfig {
   std::size_t jobs = 1;    // parallel sweep workers; 0 = hardware threads
 };
 
-obs::JsonValue config_json(const StressConfig& cfg, std::uint64_t seed) {
-  obs::JsonValue j = obs::JsonValue::object();
-  j["seed"] = seed;
-  j["clients"] = cfg.clients;
-  j["servers"] = cfg.servers;
-  j["steps"] = cfg.steps;
-  j["drop"] = cfg.drop;
-  j["two_tier"] = cfg.two_tier;
-  j["forwarding"] =
-      cfg.forwarding == gcs::ForwardingKind::kSimple ? "simple" : "mincopies";
-  j["bug_at_step"] = cfg.bug_at_step;
-  j["corrupt"] = cfg.corrupt;
-  j["eventual_window"] = cfg.eventual_window;
-  return j;
-}
-
-bool config_from_json(const obs::JsonValue& j, StressConfig* cfg,
-                      std::uint64_t* seed) {
-  const obs::JsonValue* s = j.find("seed");
-  if (s == nullptr || !s->is_int()) return false;
-  *seed = static_cast<std::uint64_t>(s->as_int());
-  if (const auto* v = j.find("clients")) cfg->clients = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("servers")) cfg->servers = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("steps")) cfg->steps = static_cast<int>(v->as_int());
-  if (const auto* v = j.find("drop")) cfg->drop = v->as_double();
-  if (const auto* v = j.find("two_tier")) cfg->two_tier = v->as_bool();
-  if (const auto* v = j.find("bug_at_step")) {
-    cfg->bug_at_step = static_cast<int>(v->as_int());
-  }
-  if (const auto* v = j.find("corrupt")) cfg->corrupt = v->as_bool();
-  if (const auto* v = j.find("eventual_window")) {
-    cfg->eventual_window = v->as_int();
-  }
-  if (const auto* v = j.find("forwarding")) {
-    cfg->forwarding = v->as_string() == "simple" ? gcs::ForwardingKind::kSimple
-                                                 : gcs::ForwardingKind::kMinCopies;
-  }
-  return true;
-}
-
-app::WorldConfig world_config(const StressConfig& cfg, std::uint64_t seed) {
+app::WorldConfig world_config(const RunConfig& cfg) {
   app::WorldConfig wc;
   wc.num_clients = cfg.clients;
   wc.num_servers = cfg.servers;
-  wc.seed = seed;
+  wc.seed = cfg.seed;
   wc.forwarding = cfg.forwarding;
   wc.net.drop_probability = cfg.drop;
   wc.eventual_checkers = cfg.corrupt;
@@ -139,7 +116,7 @@ app::WorldConfig world_config(const StressConfig& cfg, std::uint64_t seed) {
   return wc;
 }
 
-sim::FailureInjector::Policy make_policy(const StressConfig& cfg) {
+sim::FailureInjector::Policy make_policy(const RunConfig& cfg) {
   sim::FailureInjector::Policy policy;
   policy.steps = cfg.steps;
   policy.base_drop = cfg.drop;
@@ -159,18 +136,17 @@ struct RunResult {
   sim::Simulator::Stats sim_stats;  ///< kernel counters at end of run
   sim::Time sim_time = 0;           ///< final simulated clock
   std::uint64_t tolerated = 0;      ///< eventual-bundle swallowed violations
-  double wall_seconds = 0.0;        ///< host time for this run (summary only)
 };
 
 /// One full execution: generate mode when `replay` is null, otherwise replay
 /// of `*replay` with `elide` skipped. Any safety/liveness failure lands in
 /// the result instead of propagating.
-RunResult run_one(const StressConfig& cfg, std::uint64_t seed,
+RunResult run_one(const RunConfig& cfg,
                   const sim::FaultScript* replay = nullptr,
                   const std::set<std::size_t>& elide = {}) {
   RunResult result;
-  app::World w(world_config(cfg, seed));
-  sim::FailureInjector injector(w.fault_target(), make_policy(cfg), seed);
+  app::World w(world_config(cfg));
+  sim::FailureInjector injector(w.fault_target(), make_policy(cfg), cfg.seed);
   try {
     w.start();
     if (!w.run_until_converged(w.all_members(), 10 * sim::kSecond)) {
@@ -185,7 +161,7 @@ RunResult run_one(const StressConfig& cfg, std::uint64_t seed,
       throw InvariantViolation(
           "liveness: no reconvergence within 60s after stabilization");
     }
-    w.client(0).send("stress-probe-" + std::to_string(seed));
+    w.client(0).send("stress-probe-" + std::to_string(cfg.seed));
     w.run_for(3 * sim::kSecond);
     w.check_transport_bounded();
     w.finalize_checkers();
@@ -210,7 +186,7 @@ RunResult run_one(const StressConfig& cfg, std::uint64_t seed,
 /// Greedy fault-script minimizer: repeatedly try eliding each op; keep an
 /// elision whenever the violation persists. Loops to a fixpoint (max 3
 /// passes) so an op unlocked by a later removal still gets elided.
-std::set<std::size_t> minimize(const StressConfig& cfg, std::uint64_t seed,
+std::set<std::size_t> minimize(const RunConfig& cfg,
                                const sim::FaultScript& script) {
   std::set<std::size_t> elided;
   for (int pass = 0; pass < 3; ++pass) {
@@ -219,7 +195,7 @@ std::set<std::size_t> minimize(const StressConfig& cfg, std::uint64_t seed,
       if (elided.contains(i)) continue;
       std::set<std::size_t> trial = elided;
       trial.insert(i);
-      if (run_one(cfg, seed, &script, trial).violation) {
+      if (run_one(cfg, &script, trial).violation) {
         elided = std::move(trial);
         changed = true;
       }
@@ -234,10 +210,17 @@ void write_text(const fs::path& path, const std::string& text) {
   os << text;
 }
 
-void write_json(const fs::path& path, const obs::JsonValue& j) {
-  std::ofstream os(path, std::ios::binary);
-  j.write_pretty(os);
-  os << '\n';
+template <class T>
+void write_json(const fs::path& path, const T& value) {
+  write_text(path, obs::to_json(value, obs::JsonStyle::kPretty) + "\n");
+}
+
+template <class T>
+bool read_json(const fs::path& path, T* out) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  return in && obs::parse_json(text.str(), out);
 }
 
 void write_trace(const fs::path& path, const std::vector<spec::Event>& trace) {
@@ -257,23 +240,24 @@ sim::FaultScript subset(const sim::FaultScript& script,
 
 /// Writes the bundle; returns true if the minimized script still replays to
 /// a violation (the bundle is actionable).
-bool emit_bundle(const StressConfig& cfg, std::uint64_t seed,
+bool emit_bundle(const StressConfig& cfg, const RunConfig& run,
                  const RunResult& failed) {
-  const fs::path dir = fs::path(cfg.out_dir) / ("seed" + std::to_string(seed));
+  const fs::path dir =
+      fs::path(cfg.out_dir) / ("seed" + std::to_string(run.seed));
   fs::create_directories(dir);
-  write_json(dir / "config.json", config_json(cfg, seed));
-  write_json(dir / "fault_script.json", failed.script.to_json());
+  write_json(dir / "config.json", run);
+  write_json(dir / "fault_script.json", failed.script);
   write_trace(dir / "trace.jsonl", failed.trace);
 
   std::ostringstream violation;
   violation << failed.what << "\n";
   bool min_reproduces = false;
   if (cfg.minimize) {
-    const std::set<std::size_t> elided = minimize(cfg, seed, failed.script);
+    const std::set<std::size_t> elided = minimize(run, failed.script);
     const sim::FaultScript min_script = subset(failed.script, elided);
-    const RunResult min_run = run_one(cfg, seed, &min_script);
+    const RunResult min_run = run_one(run, &min_script);
     min_reproduces = min_run.violation;
-    write_json(dir / "fault_script.min.json", min_script.to_json());
+    write_json(dir / "fault_script.min.json", min_script);
     write_trace(dir / "trace.min.jsonl", min_run.trace);
     violation << "minimized: " << failed.script.ops.size() << " -> "
               << min_script.ops.size() << " ops\n";
@@ -282,37 +266,40 @@ bool emit_bundle(const StressConfig& cfg, std::uint64_t seed,
               << "\n";
   } else {
     // Without minimization the full script must still replay to a violation.
-    min_reproduces = run_one(cfg, seed, &failed.script).violation;
+    min_reproduces = run_one(run, &failed.script).violation;
   }
   write_text(dir / "violation.txt", violation.str());
   std::cerr << "  repro bundle: " << dir.string() << "\n";
   return min_reproduces;
 }
 
-int replay_bundle(StressConfig cfg) {
+int replay_bundle(const StressConfig& cfg) {
   const fs::path dir = cfg.replay_dir;
-  std::ifstream cfg_in(dir / "config.json");
-  std::stringstream cfg_text;
-  cfg_text << cfg_in.rdbuf();
-  std::string error;
-  const obs::JsonValue cfg_json_v = obs::JsonValue::parse(cfg_text.str(), &error);
-  std::uint64_t seed = 0;
-  if (!config_from_json(cfg_json_v, &cfg, &seed)) {
+  RunConfig run;
+  if (!read_json(dir / "config.json", &run)) {
     std::cerr << "cannot parse " << (dir / "config.json").string() << "\n";
     return 2;
   }
   fs::path script_path = dir / "fault_script.min.json";
   if (!fs::exists(script_path)) script_path = dir / "fault_script.json";
-  std::ifstream script_in(script_path);
-  std::stringstream script_text;
-  script_text << script_in.rdbuf();
   sim::FaultScript script;
-  if (!sim::FaultScript::from_json(
-          obs::JsonValue::parse(script_text.str(), &error), &script)) {
+  if (!read_json(script_path, &script)) {
     std::cerr << "cannot parse " << script_path.string() << "\n";
     return 2;
   }
-  const RunResult result = run_one(cfg, seed, &script);
+  // A script only replays against the world its bundle describes.
+  for (std::size_t i = 0; i < script.ops.size(); ++i) {
+    const sim::FaultOp& op = script.ops[i];
+    const std::string error = op.index_error(run.clients, run.servers);
+    if (!error.empty()) {
+      std::cerr << script_path.string() << ": op " << i << " (" << op.name()
+                << " at " << op.at << "): " << error
+                << " is out of range for config.json's " << run.clients
+                << " clients and " << run.servers << " servers\n";
+      return 2;
+    }
+  }
+  const RunResult result = run_one(run, &script);
   if (result.violation) {
     std::cout << "replay of " << script_path.string()
               << " reproduces the violation:\n  " << result.what << "\n";
@@ -361,28 +348,29 @@ int main(int argc, char** argv) {
         cfg.seed_hi = std::strtoull(v.substr(colon + 1).c_str(), nullptr, 10);
       }
     } else if (arg == "--clients") {
-      cfg.clients = std::atoi(value().c_str());
+      cfg.run.clients = std::atoi(value().c_str());
     } else if (arg == "--servers") {
-      cfg.servers = std::atoi(value().c_str());
+      cfg.run.servers = std::atoi(value().c_str());
     } else if (arg == "--steps") {
-      cfg.steps = std::atoi(value().c_str());
+      cfg.run.steps = std::atoi(value().c_str());
     } else if (arg == "--drop") {
-      cfg.drop = std::atof(value().c_str());
+      cfg.run.drop = std::atof(value().c_str());
     } else if (arg == "--two-tier") {
-      cfg.two_tier = true;
+      cfg.run.two_tier = true;
     } else if (arg == "--corrupt") {
-      cfg.corrupt = true;
+      cfg.run.corrupt = true;
     } else if (arg == "--eventual-window") {
-      cfg.eventual_window = std::atoi(value().c_str()) * sim::kSecond;
+      cfg.run.eventual_window = std::atoi(value().c_str()) * sim::kSecond;
     } else if (arg == "--forwarding") {
-      cfg.forwarding = value() == "simple" ? gcs::ForwardingKind::kSimple
-                                           : gcs::ForwardingKind::kMinCopies;
+      cfg.run.forwarding = value() == "simple"
+                               ? gcs::ForwardingKind::kSimple
+                               : gcs::ForwardingKind::kMinCopies;
     } else if (arg == "--out") {
       cfg.out_dir = value();
     } else if (arg == "--no-minimize") {
       cfg.minimize = false;
     } else if (arg == "--inject-bug") {
-      cfg.bug_at_step = std::atoi(value().c_str());
+      cfg.run.bug_at_step = std::atoi(value().c_str());
     } else if (arg == "--expect-violation") {
       cfg.expect_violation = true;
     } else if (arg == "--replay") {
@@ -404,15 +392,14 @@ int main(int argc, char** argv) {
   // stdout/stderr and every bundle are byte-identical for any --jobs value.
   const auto wall_start = std::chrono::steady_clock::now();
   sim::BatchRunner runner(cfg.jobs);
+  const auto seed_run = [&](std::uint64_t seed) {
+    RunConfig run = cfg.run;
+    run.seed = seed;
+    return run;
+  };
   const std::vector<RunResult> results = runner.map<RunResult>(
-      static_cast<std::size_t>(seeds), [&](std::size_t i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        RunResult r = run_one(cfg, cfg.seed_lo + i);
-        r.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        return r;
-      });
+      static_cast<std::size_t>(seeds),
+      [&](std::size_t i) { return run_one(seed_run(cfg.seed_lo + i)); });
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -421,28 +408,28 @@ int main(int argc, char** argv) {
   std::uint64_t violations = 0;
   std::uint64_t actionable = 0;
   std::uint64_t total_events = 0;
-  double serial_seconds = 0.0;
   obs::BenchArtifact artifact("stress");
   artifact.config("seeds") = seeds;
   artifact.config("jobs") = static_cast<std::uint64_t>(runner.jobs());
-  artifact.config("clients") = cfg.clients;
-  artifact.config("servers") = cfg.servers;
-  artifact.config("steps") = cfg.steps;
+  artifact.config("clients") = cfg.run.clients;
+  artifact.config("servers") = cfg.run.servers;
+  artifact.config("steps") = cfg.run.steps;
   for (std::uint64_t seed = cfg.seed_lo; seed <= cfg.seed_hi; ++seed) {
     const RunResult& result = results[seed - cfg.seed_lo];
     total_events += result.sim_stats.events_executed;
-    serial_seconds += result.wall_seconds;
     artifact.tally(result.sim_stats, result.sim_time);
     if (!result.violation) {
       std::cout << "seed " << seed << ": ok (" << result.script.ops.size()
                 << " fault ops";
-      if (cfg.corrupt) std::cout << ", " << result.tolerated << " tolerated";
+      if (cfg.run.corrupt) {
+        std::cout << ", " << result.tolerated << " tolerated";
+      }
       std::cout << ")\n";
       continue;
     }
     ++violations;
     std::cout << "seed " << seed << ": VIOLATION\n  " << result.what << "\n";
-    if (emit_bundle(cfg, seed, result)) ++actionable;
+    if (emit_bundle(cfg, seed_run(seed), result)) ++actionable;
   }
 
   // Throughput summary (stderr, wall-clock — deliberately not part of the
@@ -455,10 +442,6 @@ int main(int argc, char** argv) {
           << (static_cast<double>(seeds) / sweep_seconds) << " seeds/sec, "
           << (static_cast<double>(total_events) / sweep_seconds / 1e6)
           << "M events/sec, jobs=" << runner.jobs();
-    if (runner.jobs() > 1 && sweep_seconds > 0.0) {
-      sweep << ", est. speedup vs --jobs 1: "
-            << (serial_seconds / sweep_seconds) << "x";
-    }
     std::cerr << sweep.str() << "\n";
   }
   artifact.write_file();
